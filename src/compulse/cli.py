@@ -271,18 +271,14 @@ def cmd_sweep(args) -> int:
     lines = []
     if model_kind == SIMULTANEOUS:
         lines.append("epsilon,f,infidelity")
-        for e in grid:
-            for f in grid:
-                y = _verify.infidelity_ld(seq.pulses, SIMULTANEOUS, e, f, seq.target)
-                lines.append(f"{e:.12g},{f:.12g},{float(y):.12g}")
+        table = _verify.infidelity_grid(seq.pulses, SIMULTANEOUS, grid[:, None], grid[None, :], seq.target)
+        for e, row in zip(grid, table):
+            lines.extend(f"{e:.12g},{f:.12g},{y:.12g}" for f, y in zip(grid, row))
     else:
-        axis = _axis_for(model_kind)
         lines.append("error_value,infidelity")
-        for x in grid:
-            e = x if axis == "eps" else 0.0
-            f = x if axis == "f" else 0.0
-            y = _verify.infidelity_ld(seq.pulses, model_kind, e, f, seq.target)
-            lines.append(f"{x:.12g},{float(y):.12g}")
+        e, f = (grid, 0.0) if _axis_for(model_kind) == "eps" else (0.0, grid)
+        ys = _verify.infidelity_grid(seq.pulses, model_kind, e, f, seq.target)
+        lines.extend(f"{x:.12g},{y:.12g}" for x, y in zip(grid, ys))
     try:
         _write_text(args.out, "\n".join(lines) + "\n")
     except OSError as exc:

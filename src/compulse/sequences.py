@@ -642,23 +642,6 @@ CATALOG_MODELS = {
     "simultaneous": SIMULTANEOUS,
 }
 
-CATALOG_ORDERS = {
-    "simple": 1,
-    "sk1": 2,
-    "sk2": 3,
-    "sk2rot": 3,
-    "bb1": 3,
-    "sk3": 4,
-    "corpse": 2,
-    "short-corpse": 2,
-    "or-first": 2,
-    "or-first-general": 2,
-    "or-second-corpse": 3,
-    "or-second-xz": 3,
-    "or-timesym": 2,
-    "simultaneous": None,  # order 3 in eps alone, 2 in f alone
-}
-
 
 def build(name: str, theta: float = PI) -> PulseSequence:
     """Construct a catalog sequence by name for the given target angle (radians)."""

@@ -119,6 +119,34 @@ class PauliDecomposition:
         )
 
 
+def _axis_angle(theta, phi: float, w, f) -> np.ndarray:
+    """exp[-i theta (w (sigma_x cos(phi) + sigma_y sin(phi)) + f sigma_z) / 2].
+
+    The closed form is c I - i s (w cos(phi) sigma_x + w sin(phi) sigma_y +
+    f sigma_z) with m = |(w, f)|, c = cos(theta m / 2), s = sin(theta m / 2) / m.
+    ``theta``, ``w`` and ``f`` may be arrays; the result has their broadcast
+    shape followed by (2, 2).
+    """
+    m = np.hypot(w, f)
+    a = theta * m / 2.0
+    c = np.cos(a)
+    s = np.sin(a) / m
+    sx = s * (w * math.cos(phi))
+    sy = s * (w * math.sin(phi))
+    sz = s * f
+    # real and imaginary parts of [[c - i sz, -sy - i sx], [sy - i sx, c + i sz]]
+    out = np.empty(np.shape(a) + (2, 2, 2))
+    out[..., 0, 0, 0] = c
+    out[..., 0, 0, 1] = -sz
+    out[..., 0, 1, 0] = -sy
+    out[..., 0, 1, 1] = -sx
+    out[..., 1, 0, 0] = sy
+    out[..., 1, 0, 1] = -sx
+    out[..., 1, 1, 0] = c
+    out[..., 1, 1, 1] = sz
+    return out.view(complex)[..., 0]
+
+
 def rotation(theta: float, phi: float) -> np.ndarray:
     """Ideal rotation exp[-i theta (sigma_x cos(phi) + sigma_y sin(phi)) / 2].
 
@@ -137,29 +165,24 @@ def rotation(theta: float, phi: float) -> np.ndarray:
     """
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise ValueError(f"rotation arguments must be finite, got ({theta}, {phi})")
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    e = complex(math.cos(phi), -math.sin(phi))
-    return np.array(
-        [[c, -1j * s * e], [-1j * s * e.conjugate(), c]], dtype=complex
-    )
+    return _axis_angle(theta, phi, 1.0, 0.0)
 
 
-def _tilted_rotation(theta: float, phi: float, weight: float, f: float) -> np.ndarray:
-    """exp[-i theta (weight*(sigma_x c + sigma_y s) + f sigma_z) / 2] in closed form."""
-    m = math.hypot(weight, f)
-    a = theta * m / 2.0
-    c = math.cos(a)
-    s = math.sin(a) / m
-    nx = weight * math.cos(phi)
-    ny = weight * math.sin(phi)
-    return np.array(
-        [
-            [c - 1j * s * f, -1j * s * (nx - 1j * ny)],
-            [-1j * s * (nx + 1j * ny), c + 1j * s * f],
-        ],
-        dtype=complex,
-    )
+def pulse_matrix(pulse: Pulse, kind: str, eps, f) -> np.ndarray:
+    """Propagator of one pulse under error model ``kind`` at fractions (eps, f).
+
+    ``eps`` and ``f`` may be arrays, giving one 2x2 matrix per grid point;
+    the fraction a model does not carry is ignored.
+    """
+    if kind == PULSE_LENGTH:
+        return _axis_angle(pulse.angle * (1.0 + eps), pulse.phase, 1.0, 0.0)
+    if pulse.flipped:
+        raise ValueError(
+            "off-resonance propagators are defined for nonnegative angles only; "
+            "this pulse was built from a negative-angle request"
+        )
+    w = 1.0 + eps if kind == SIMULTANEOUS else 1.0
+    return _axis_angle(pulse.angle, pulse.phase, w, f)
 
 
 def propagator(pulse: Pulse, model: ErrorModel) -> np.ndarray:
@@ -171,15 +194,7 @@ def propagator(pulse: Pulse, model: ErrorModel) -> np.ndarray:
     generator is additionally scaled by (1 + epsilon).  With all error
     fractions zero this reduces exactly to :func:`rotation`.
     """
-    if model.kind == PULSE_LENGTH:
-        return rotation(pulse.angle * (1.0 + model.epsilon), pulse.phase)
-    if pulse.flipped:
-        raise ValueError(
-            "off-resonance propagators are defined for nonnegative angles only; "
-            "this pulse was built from a negative-angle request"
-        )
-    weight = 1.0 + model.epsilon if model.kind == SIMULTANEOUS else 1.0
-    return _tilted_rotation(pulse.angle, pulse.phase, weight, model.f)
+    return pulse_matrix(pulse, model.kind, model.epsilon, model.f)
 
 
 def compose(pulses, model: ErrorModel) -> np.ndarray:

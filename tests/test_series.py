@@ -376,7 +376,8 @@ class TestOracleConsistency:
             epsilon=x if kind in (PULSE_LENGTH, SIMULTANEOUS) else 0.0,
             f=x if kind in (OFF_RESONANCE, SIMULTANEOUS) else 0.0,
         ))
-        # dropped degree-5 coefficients grow like (total angle / 2)^5 / 5!
+        # dropped degree-5 coefficients grow like (total angle / 2)^5 / 5!;
+        # both sides round entries of size ~1, so a few ulps are added
         total = sum(p.angle for p in seq)
-        bound = 10.0 * (1.0 + total / 2.0) ** 5 / 120.0 * x**5
+        bound = 10.0 * (1.0 + total / 2.0) ** 5 / 120.0 * x**5 + 4 * np.finfo(float).eps
         assert maxdiff(ms.evaluate(x, x), exact) < bound

@@ -18,6 +18,7 @@ from compulse import (
     rotation,
 )
 from compulse.sequences import bb1
+from compulse.su2 import pulse_matrix
 
 from conftest import ID2, SX, SY, SZ, maxdiff, pauli_vec, taylor_expm
 
@@ -131,6 +132,22 @@ class TestPropagator:
         assert maxdiff(
             propagator(Pulse(theta, phi), ErrorModel.pulse_length(eps)), taylor_expm(h)
         ) < 1e-13
+
+    @pytest.mark.parametrize("kind", ["ple", "ore", "sim"])
+    def test_grid_matches_scalar_propagator(self, kind):
+        p = Pulse(2.3, 0.8)
+        eps = np.array([-0.1, 0.0, 3e-3])[:, None]
+        f = np.array([0.0, 2e-2])[None, :]
+        # a model ignores the fraction it does not carry
+        grid = np.broadcast_to(pulse_matrix(p, kind, eps, f), (3, 2, 2, 2))
+        for i, e in enumerate(eps[:, 0]):
+            for j, x in enumerate(f[0]):
+                model = ErrorModel(
+                    kind,
+                    epsilon=0.0 if kind == "ore" else float(e),
+                    f=0.0 if kind == "ple" else float(x),
+                )
+                assert np.array_equal(grid[i, j], propagator(p, model))
 
     def test_flipped_pulse_rejected_off_resonance(self):
         p = Pulse(-1.0, 0.0)

@@ -13,6 +13,7 @@ from compulse.verify import (
     fidelity_surface,
     fit_leading_coefficient,
     geometric_grid,
+    infidelity_grid,
     infidelity_ld,
     inverse_quality,
 )
@@ -102,6 +103,13 @@ class TestFitLeadingCoefficient:
         with pytest.raises(ValueError):
             fit_leading_coefficient(pulses, "eps", 2, target=Pulse(0.0, 0.0))
 
+    @pytest.mark.parametrize("eps", [1e-4, 1e-3])
+    def test_bb1_resolved_below_1e16(self, eps):
+        # 1 - |Tr/2| cancels to nothing here even in 80-bit extended precision
+        seq = build("bb1", PI)
+        value = infidelity_ld(seq.pulses, "ple", eps, 0.0, seq.target)
+        assert value == pytest.approx(5 * PI**6 / 1024 * eps**6, rel=1e-4, abs=0.0)
+
 
 @pytest.fixture(scope="module")
 def scan():
@@ -186,6 +194,16 @@ class TestFidelitySurface:
 
     def test_grid_shape(self, surface):
         assert surface.infidelity.shape == (len(surface.eps_grid), len(surface.f_grid))
+
+    def test_grid_matches_pointwise(self):
+        seq = build("simultaneous", PI)
+        eps = np.array([-2e-2, 1e-4, 3e-3])[:, None]
+        f = np.array([0.0, 1e-3, 5e-2, -7e-3])[None, :]
+        table = infidelity_grid(seq.pulses, "sim", eps, f, seq.target)
+        assert table.shape == (3, 4)
+        for i, e in enumerate(eps[:, 0]):
+            for j, x in enumerate(f[0]):
+                assert table[i, j] == infidelity_ld(seq.pulses, "sim", e, x, seq.target)
 
     def test_zero_error_is_exact(self):
         seq = build("simultaneous", PI)
