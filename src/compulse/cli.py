@@ -25,6 +25,8 @@ from .su2 import MODEL_KINDS, OFF_RESONANCE, SIMULTANEOUS, Pulse
 
 SCHEMA_VERSION = 1
 _INT_METADATA = ("na", "nb", "nc")
+#: largest accepted ``verify --degree``; a series holds (N+1)^2 coefficients
+MAX_DEGREE = 16
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -318,6 +320,18 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _parse_degree(spec: str) -> int:
+    try:
+        degree = int(spec)
+        if not 1 <= degree <= MAX_DEGREE:
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"degree must be an integer in 1..{MAX_DEGREE}, got {spec!r}"
+        ) from None
+    return degree
+
+
 def _theta_range(spec: str) -> tuple[float, float, int]:
     try:
         lo, hi, n = spec.split(":")
@@ -346,7 +360,8 @@ def main(argv=None) -> int:
     p_verify.add_argument("--model", choices=list(MODEL_KINDS), default=None)
     p_verify.add_argument("--expect-order", "--order", dest="expect_order", type=int, required=True)
     p_verify.add_argument("--theta", type=float, default=180.0, help="target angle in degrees (catalog names)")
-    p_verify.add_argument("--degree", type=int, default=_series.DEFAULT_DEGREE, help="series truncation degree")
+    p_verify.add_argument("--degree", type=_parse_degree, default=_series.DEFAULT_DEGREE,
+                          help=f"series truncation degree, 1..{MAX_DEGREE}")
     p_verify.add_argument("--json", action="store_true", help="emit the report as JSON")
     p_verify.set_defaults(func=cmd_verify)
 

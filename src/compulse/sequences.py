@@ -265,15 +265,17 @@ def solve_third_order(tol: float = 1e-12, max_iter: int = 100) -> tuple[float, f
     selects the branch with phi3 in (0, pi/2).
     """
 
-    def components(phi3: float, delta: float):
-        pulses = [*bb1(PI).pulses, *(Pulse(p.angle, p.phase + delta) for p in _x3(phi3))]
-        res = _series.residual(pulses, Pulse(PI, 0.0), PULSE_LENGTH, degree=3)
-        _, cx, cy, _ = res.degree_pauli(3)
+    base = bb1(PI).pulses
+    target = Pulse(PI, 0.0)
+
+    def degree3(pulses) -> tuple[float, float]:
+        _, cx, cy, _ = _series.residual(pulses, target, PULSE_LENGTH, degree=3).degree_pauli(3)
         return cx.imag, cy.imag
 
-    res0 = _series.residual(bb1(PI).pulses, Pulse(PI, 0.0), PULSE_LENGTH, degree=3)
-    _, bx, by, _ = res0.degree_pauli(3)
-    vx, vy = bx.imag, by.imag
+    def components(phi3: float, delta: float):
+        return degree3([*base, *(Pulse(p.angle, p.phase + delta) for p in _x3(phi3))])
+
+    vx, vy = degree3(base)
     mag = math.hypot(vx, vy)
     phi3 = math.acos((mag / (32.0 * PI**3)) ** (1.0 / 3.0))
     delta = math.atan2(vy, vx)

@@ -3,8 +3,9 @@
 A :class:`ScalarSeries` stores complex coefficients c[i, j] of eps^i * f^j for
 all exponent pairs with total degree i + j <= N; arithmetic never creates or
 reads terms beyond N, so the ring operations are exact on the retained
-coefficients.  A :class:`MatrixSeries` is a 2x2 matrix of scalar series and is
-the symbolic counterpart of a propagator: expanding each pulse in closed
+coefficients.  A :class:`MatrixSeries` is an SU(2)-form 2x2 matrix of scalar
+series, held as its Cayley-Klein pair (alpha, beta), and is the symbolic
+counterpart of a propagator: expanding each pulse in closed
 axis-angle form and multiplying the per-pulse series gives the exact Taylor
 expansion of a composite sequence, from which residual error terms, their
 order, and the leading infidelity coefficient are read off directly.
@@ -196,85 +197,59 @@ def compose_analytic(g: ScalarSeries, fn: str) -> ScalarSeries:
 
 
 class MatrixSeries:
-    """2x2 matrix whose entries are scalar series of a common degree."""
+    """SU(2)-form matrix series [[alpha, -conj(beta)], [beta, conj(alpha)]].
 
-    __slots__ = ("degree", "m")
+    Every pulse propagator and every product of them has this form, so the
+    Cayley-Klein pair (alpha, beta) of scalar series describes it fully;
+    ``conj`` acts coefficient-wise because the variables are real.
+    """
 
-    def __init__(self, entries, degree: int | None = None):
-        self.m = [[entries[0][0], entries[0][1]], [entries[1][0], entries[1][1]]]
-        self.degree = self.m[0][0].degree if degree is None else degree
-        for row in self.m:
-            for s in row:
-                if s.degree != self.degree:
-                    raise ValueError("matrix series entries must share one degree")
+    __slots__ = ("degree", "alpha", "beta")
+
+    def __init__(self, alpha: ScalarSeries, beta: ScalarSeries):
+        if alpha.degree != beta.degree:
+            raise ValueError("matrix series entries must share one degree")
+        self.degree = alpha.degree
+        self.alpha = alpha
+        self.beta = beta
 
     @classmethod
     def identity(cls, degree: int) -> "MatrixSeries":
-        return cls(
-            [
-                [ScalarSeries.constant(1.0, degree), ScalarSeries(degree)],
-                [ScalarSeries(degree), ScalarSeries.constant(1.0, degree)],
-            ]
-        )
+        return cls(ScalarSeries.constant(1.0, degree), ScalarSeries(degree))
 
     @classmethod
     def from_matrix(cls, mat: np.ndarray, degree: int) -> "MatrixSeries":
         mat = np.asarray(mat)
-        return cls(
-            [
-                [ScalarSeries.constant(mat[0, 0], degree), ScalarSeries.constant(mat[0, 1], degree)],
-                [ScalarSeries.constant(mat[1, 0], degree), ScalarSeries.constant(mat[1, 1], degree)],
-            ]
-        )
+        if mat[1, 1] != np.conj(mat[0, 0]) or mat[0, 1] != -np.conj(mat[1, 0]):
+            raise ValueError("matrix is not of the form [[a, -conj(b)], [b, conj(a)]]")
+        return cls(ScalarSeries.constant(mat[0, 0], degree), ScalarSeries.constant(mat[1, 0], degree))
 
     def entry(self, i: int, j: int) -> ScalarSeries:
-        return self.m[i][j]
+        if j == 0:
+            return self.beta if i else self.alpha
+        return self.alpha.conjugate() if i else -self.beta.conjugate()
 
     def __mul__(self, other: "MatrixSeries") -> "MatrixSeries":
-        if self.degree != other.degree:
-            raise ValueError(f"mismatched series degrees {self.degree} and {other.degree}")
-        a, b = self.m, other.m
-        return MatrixSeries(
-            [
-                [a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]],
-                [a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]],
-            ]
-        )
-
-    def __add__(self, other: "MatrixSeries") -> "MatrixSeries":
-        return MatrixSeries([[self.m[i][j] + other.m[i][j] for j in range(2)] for i in range(2)])
-
-    def __sub__(self, other: "MatrixSeries") -> "MatrixSeries":
-        return MatrixSeries([[self.m[i][j] - other.m[i][j] for j in range(2)] for i in range(2)])
+        a1, b1, a2, b2 = self.alpha, self.beta, other.alpha, other.beta
+        return MatrixSeries(a1 * a2 - b1.conjugate() * b2, b1 * a2 + a1.conjugate() * b2)
 
     def conj_transpose(self) -> "MatrixSeries":
-        """Transpose with coefficient-conjugated entries (adjoint for real variables)."""
-        return MatrixSeries(
-            [
-                [self.m[0][0].conjugate(), self.m[1][0].conjugate()],
-                [self.m[0][1].conjugate(), self.m[1][1].conjugate()],
-            ]
-        )
+        """Adjoint for real variables: (alpha, beta) -> (conj(alpha), -beta)."""
+        return MatrixSeries(self.alpha.conjugate(), -self.beta)
 
     def evaluate(self, eps: float, f: float = 0.0) -> np.ndarray:
-        return np.array(
-            [
-                [self.m[0][0](eps, f), self.m[0][1](eps, f)],
-                [self.m[1][0](eps, f), self.m[1][1](eps, f)],
-            ],
-            dtype=complex,
-        )
+        a, b = self.alpha(eps, f), self.beta(eps, f)
+        return np.array([[a, -b.conjugate()], [b, a.conjugate()]], dtype=complex)
 
     def half_trace(self) -> ScalarSeries:
-        return (self.m[0][0] + self.m[1][1]) * 0.5
+        return ScalarSeries(self.degree, self.alpha.c.real)
 
     def pauli_term(self, i: int, j: int) -> tuple[complex, complex, complex, complex]:
         """Pauli components (c0, cx, cy, cz) of the coefficient of eps^i f^j."""
-        a = self.m[0][0].coeff(i, j)
-        b = self.m[0][1].coeff(i, j)
-        c = self.m[1][0].coeff(i, j)
-        d = self.m[1][1].coeff(i, j)
-        return ((a + d) / 2, (b + c) / 2, 1j * (b - c) / 2, (a - d) / 2)
+        a = self.alpha.coeff(i, j)
+        b = self.beta.coeff(i, j)
+        # 0.0 - x rather than -x, so that a zero coefficient gives +0, not -0
+        return (complex(a.real), complex(0.0, b.imag), (0.0 - b.real) * 1j, complex(0.0, a.imag))
 
     def degree_pauli(self, d: int) -> tuple[complex, complex, complex, complex]:
         """Pauli components of the total-degree-d part, summed over i + j = d."""
@@ -316,19 +291,9 @@ def propagator_series(pulse: Pulse, model, degree: int = DEFAULT_DEGREE) -> Matr
     "ore", "sim".
     """
     kind = _model_kind(model)
-    theta, phi = pulse.angle, pulse.phase
-    half = theta / 2.0
-    c0, s0 = math.cos(half), math.sin(half)
-
+    half = pulse.angle / 2.0
     if kind == PULSE_LENGTH:
-        g = ScalarSeries.variable("eps", degree) * half
-        cg = compose_analytic(g, "cos")
-        sg = compose_analytic(g, "sin")
-        ca = cg * c0 - sg * s0
-        sa = cg * s0 + sg * c0
-        vx = sa * math.cos(phi)
-        vy = sa * math.sin(phi)
-        vz = ScalarSeries(degree)
+        h = ScalarSeries.variable("eps", degree)  # m - 1 with m = 1 + eps
     else:
         if pulse.flipped:
             raise ValueError(
@@ -338,27 +303,23 @@ def propagator_series(pulse: Pulse, model, degree: int = DEFAULT_DEGREE) -> Matr
         f = ScalarSeries.variable("f", degree)
         if kind == OFF_RESONANCE:
             u = f * f
-            w = ScalarSeries.constant(1.0, degree)
         else:
             e = ScalarSeries.variable("eps", degree)
             u = e * 2.0 + e * e + f * f
-            w = e + 1.0
         h = compose_analytic(u, "sqrt1p") - 1.0  # m - 1, zero constant term
-        cg = compose_analytic(h * half, "cos")
-        sg = compose_analytic(h * half, "sin")
-        ca = cg * c0 - sg * s0
-        sa = cg * s0 + sg * c0
-        s_over_m = sa * compose_analytic(h, "recip1p")
-        vx = s_over_m * w * math.cos(phi)
-        vy = s_over_m * w * math.sin(phi)
-        vz = s_over_m * f
-
-    return MatrixSeries(
-        [
-            [ca - 1j * vz, vx * (-1j) - vy],
-            [vx * (-1j) + vy, ca + 1j * vz],
-        ]
-    )
+    # cos and sin of a = half * (1 + h) by angle addition about half
+    cg = compose_analytic(h * half, "cos")
+    sg = compose_analytic(h * half, "sin")
+    c0, s0 = math.cos(half), math.sin(half)
+    ca = cg * c0 - sg * s0
+    sa = cg * s0 + sg * c0
+    # beta = -i (vx + i vy) with (vx, vy) = transverse * (cos(phi), sin(phi))
+    phase = complex(math.sin(pulse.phase), -math.cos(pulse.phase))
+    if kind == PULSE_LENGTH:
+        return MatrixSeries(ca, sa * phase)
+    s_over_m = sa * compose_analytic(h, "recip1p")
+    transverse = s_over_m * (e + 1.0) if kind == SIMULTANEOUS else s_over_m
+    return MatrixSeries(ca - 1j * (s_over_m * f), transverse * phase)
 
 
 def sequence_series(pulses, model, degree: int = DEFAULT_DEGREE) -> MatrixSeries:

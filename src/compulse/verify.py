@@ -1,14 +1,16 @@
 """Independent numeric checks of the series engine's order and coefficient claims.
 
-Nothing here touches the power-series code path: sequences are composed with
-plain float64 matrix arithmetic over whole error grids, infidelities are
-swept over geometric grids, and error orders and leading coefficients are
-recovered from log-log slopes and small-x extrapolation.  The infidelity is
-taken from the Pauli (sigma) part of the residual unitary rather than from
-1 - |Tr/2|, so it carries no cancellation floor and needs no extended
-precision: results are the same on every platform, whatever its
+Sweeps and fits never touch the power-series code path: sequences are
+composed with plain float64 matrix arithmetic over whole error grids,
+infidelities are swept over geometric grids, and error orders and leading
+coefficients are recovered from log-log slopes and small-x extrapolation.
+The infidelity is taken from the Pauli (sigma) part of the residual unitary
+rather than from 1 - |Tr/2|, so it carries no cancellation floor and needs no
+extended precision: results are the same on every platform, whatever its
 ``longdouble``.  Agreement between the two routes is what certifies a
-sequence.
+sequence.  The one exception is :func:`crossover_scan`, whose degree-3
+magnitudes are read off ``series.residual``; a series-free route for it
+(Taylor coefficients by contour FFT) is ROADMAP open item 1.
 """
 
 from __future__ import annotations
@@ -158,9 +160,10 @@ def fit_leading_coefficient(
     enough to be clean and small enough that degree+3 terms stay negligible.
     """
     grid, infid = _axis_sweep(seq, axis, target, grid)
-    keep = (infid >= 1e-14) & (infid <= 1e-7)
+    floor = FIT_WINDOW[0]
+    keep = (infid >= floor) & (infid <= 1e-7)
     if keep.sum() < 3:
-        keep = (infid >= 1e-14) & (infid <= 1e-6)
+        keep = (infid >= floor) & (infid <= 1e-6)
     if keep.sum() < 3:
         raise ValueError("noise floor reached: too few clean sweep points for a coefficient fit")
     x = grid[keep]

@@ -148,6 +148,13 @@ class TestVerify:
         bad.write_text(json.dumps(doc))
         assert run_main("verify", str(bad), "--expect-order", "3") == EXIT_USAGE
 
+    @pytest.mark.parametrize("degree", ["0", "17"])
+    def test_degree_out_of_range(self, degree, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_main("verify", "bb1", "--expect-order", "3", "--degree", degree)
+        assert err.value.code == EXIT_USAGE
+        assert "1..16" in capsys.readouterr().err
+
     def test_sim_model_needs_axis(self, capsys):
         assert run_main("verify", "simultaneous", "--expect-order", "3") == EXIT_USAGE
 

@@ -166,12 +166,18 @@ class TestPropagatorSeries:
             propagator_series(Pulse(-1.0, 0.0), OFF_RESONANCE, degree=2)
 
     @pytest.mark.parametrize(
-        "kind,eps,f",
-        [(PULSE_LENGTH, 1e-3, 0.0), (OFF_RESONANCE, 0.0, 1e-3), (SIMULTANEOUS, 1e-3, 1e-3)],
+        "angle,kind,eps,f",
+        [
+            (2.2, PULSE_LENGTH, 1e-3, 0.0),
+            (2.2, OFF_RESONANCE, 0.0, 1e-3),
+            (2.2, SIMULTANEOUS, 1e-3, 1e-3),
+            (-2.2, PULSE_LENGTH, 1e-3, 0.0),  # flipped: phase 0.9 + pi
+        ],
+        ids=["ple-0.001-0.0", "ore-0.0-0.001", "sim-0.001-0.001", "ple-flipped"],
     )
     @pytest.mark.parametrize("degree", [2, 3])
-    def test_matches_exact_propagator_at_small_error(self, kind, eps, f, degree):
-        p = Pulse(2.2, 0.9)
+    def test_matches_exact_propagator_at_small_error(self, angle, kind, eps, f, degree):
+        p = Pulse(angle, 0.9)
         ms = propagator_series(p, kind, degree)
         exact = compose([p], ErrorModel(kind, epsilon=eps, f=f))
         tol = max(10 * (1e-3) ** (degree + 1), 1e-12)
@@ -205,6 +211,10 @@ class TestMatrixSeries:
         for i in range(2):
             for j in range(2):
                 assert maxdiff(low.entry(i, j).c * tri, high.entry(i, j).c[:5, :5] * tri) < 1e-14
+
+    def test_from_matrix_rejects_non_cayley_klein_form(self):
+        with pytest.raises(ValueError):
+            MatrixSeries.from_matrix(np.array([[1.0, 0.0], [0.0, 2.0]]), 4)
 
     def test_series_unitarity(self):
         seq = bb1(PI)
