@@ -174,11 +174,12 @@ def _parse_grid(spec: str) -> np.ndarray:
     try:
         lo, hi, n = spec.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
-        if n < 1 or lo < 0 or hi < lo or (lo == 0.0 and hi > lo):
+        finite = math.isfinite(lo) and math.isfinite(hi)
+        if n < 1 or not finite or lo < 0 or hi < lo or (lo == 0.0 and hi > lo):
             raise ValueError
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"grid must be min:max:points with 0 <= min <= max (geometric needs min > 0), got {spec!r}"
+            f"grid must be min:max:points with finite 0 <= min <= max (geometric needs min > 0), got {spec!r}"
         ) from None
     if lo == hi:
         return np.full(n, lo)
@@ -301,7 +302,7 @@ def cmd_compare(args) -> int:
             print(f"error: unknown sequence name {n!r}", file=sys.stderr)
             return EXIT_USAGE
     lo, hi, npts = args.theta_range
-    thetas = np.radians(np.linspace(lo, hi, int(npts)))
+    thetas = np.radians(np.linspace(lo, hi, npts))
     try:
         result = _verify.crossover_scan(names, thetas)
     except ValueError as exc:
@@ -335,11 +336,14 @@ def _parse_degree(spec: str) -> int:
 def _theta_range(spec: str) -> tuple[float, float, int]:
     try:
         lo, hi, n = spec.split(":")
-        return float(lo), float(hi), int(n)
+        lo, hi, n = float(lo), float(hi), int(n)
+        if n < 1 or not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"theta range must be min:max:points in degrees, got {spec!r}"
+            f"theta range must be min:max:points in degrees, with finite ends and points >= 1, got {spec!r}"
         ) from None
+    return lo, hi, n
 
 
 def main(argv=None) -> int:

@@ -126,14 +126,30 @@ def _axis_angle(theta, phi: float, w, f) -> np.ndarray:
     f sigma_z) with m = |(w, f)|, c = cos(theta m / 2), s = sin(theta m / 2) / m.
     ``theta``, ``w`` and ``f`` may be arrays; the result has their broadcast
     shape followed by (2, 2).
+
+    Complex arguments continue the form analytically, with m = sqrt(w^2 +
+    f^2); the branch of the root does not matter, because c and s are even
+    in m.  That is what lets contour integrals in the error fraction read off
+    Taylor coefficients.
     """
-    m = np.hypot(w, f)
+    try:
+        m = np.hypot(w, f)
+    except TypeError:  # hypot refuses complex input
+        m = np.sqrt(w * w + f * f)
     a = theta * m / 2.0
     c = np.cos(a)
     s = np.sin(a) / m
     sx = s * (w * math.cos(phi))
     sy = s * (w * math.sin(phi))
     sz = s * f
+    if c.dtype.kind == "c":
+        isx, isz = 1j * sx, 1j * sz
+        out = np.empty(np.shape(a) + (2, 2), dtype=complex)
+        out[..., 0, 0] = c - isz
+        out[..., 0, 1] = -sy - isx
+        out[..., 1, 0] = sy - isx
+        out[..., 1, 1] = c + isz
+        return out
     # real and imaginary parts of [[c - i sz, -sy - i sx], [sy - i sx, c + i sz]]
     out = np.empty(np.shape(a) + (2, 2, 2))
     out[..., 0, 0, 0] = c
@@ -171,8 +187,9 @@ def rotation(theta: float, phi: float) -> np.ndarray:
 def pulse_matrix(pulse: Pulse, kind: str, eps, f) -> np.ndarray:
     """Propagator of one pulse under error model ``kind`` at fractions (eps, f).
 
-    ``eps`` and ``f`` may be arrays, giving one 2x2 matrix per grid point;
-    the fraction a model does not carry is ignored.
+    ``eps`` and ``f`` may be arrays, giving one 2x2 matrix per grid point,
+    and may be complex (see :func:`_axis_angle`); the fraction a model does
+    not carry is ignored.
     """
     if kind == PULSE_LENGTH:
         return _axis_angle(pulse.angle * (1.0 + eps), pulse.phase, 1.0, 0.0)

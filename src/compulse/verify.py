@@ -1,16 +1,16 @@
 """Independent numeric checks of the series engine's order and coefficient claims.
 
-Sweeps and fits never touch the power-series code path: sequences are
-composed with plain float64 matrix arithmetic over whole error grids,
-infidelities are swept over geometric grids, and error orders and leading
-coefficients are recovered from log-log slopes and small-x extrapolation.
-The infidelity is taken from the Pauli (sigma) part of the residual unitary
-rather than from 1 - |Tr/2|, so it carries no cancellation floor and needs no
-extended precision: results are the same on every platform, whatever its
-``longdouble``.  Agreement between the two routes is what certifies a
-sequence.  The one exception is :func:`crossover_scan`, whose degree-3
-magnitudes are read off ``series.residual``; a series-free route for it
-(Taylor coefficients by contour FFT) is ROADMAP open item 1.
+Nothing here touches the power-series code path: sequences are composed with
+plain float64 matrix arithmetic over whole error grids, infidelities are
+swept over geometric grids, and error orders and leading coefficients are
+recovered from log-log slopes and small-x extrapolation.  The infidelity is
+taken from the Pauli (sigma) part of the residual unitary rather than from
+1 - |Tr/2|, so it carries no cancellation floor and needs no extended
+precision: results are the same on every platform, whatever its
+``longdouble``.  The degree-3 magnitudes of :func:`crossover_scan` are Taylor
+coefficients read off the same residual, composed at complex pulse-length
+fractions on a circle and integrated by a discrete Cauchy formula.
+Agreement between the two routes is what certifies a sequence.
 """
 
 from __future__ import annotations
@@ -19,13 +19,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import series as _series
 from .sequences import PulseSequence, build
 from .su2 import OFF_RESONANCE, PULSE_LENGTH, SIMULTANEOUS, Pulse, pulse_matrix, rotation
 
 #: sweep defaults: geometric grid and the infidelity window used for fitting
 GRID_MIN, GRID_MAX, GRID_POINTS = 1e-4, 1e-1, 25
 FIT_WINDOW = (1e-14, 1e-2)
+
+#: contour for Taylor coefficients in eps: N nodes on the circle |eps| = r
+CONTOUR_POINTS, CONTOUR_RADIUS = 32, 0.2
+_nodes = np.arange(CONTOUR_POINTS)
+CONTOUR_EPS = CONTOUR_RADIUS * np.exp(2j * np.pi * _nodes / CONTOUR_POINTS)
+#: (N, 4) matrix taking node values to the Taylor coefficients of degree 0..3
+_CAUCHY = np.exp(-2j * np.pi * np.outer(_nodes, np.arange(4)) / CONTOUR_POINTS) / (
+    CONTOUR_POINTS * CONTOUR_RADIUS ** np.arange(4)
+)
+del _nodes
 
 _AXIS_KIND = {"eps": PULSE_LENGTH, "f": OFF_RESONANCE}
 
@@ -34,14 +43,12 @@ def geometric_grid(lo: float = GRID_MIN, hi: float = GRID_MAX, n: int = GRID_POI
     return np.geomspace(lo, hi, n)
 
 
-def infidelity_grid(pulses, kind: str, eps, f, target: Pulse) -> np.ndarray:
-    """1 - |Tr(V U^dag)|/2 at every point of the broadcast grid of (eps, f).
+def _residual_grid(pulses, kind: str, eps, f, target: Pulse) -> np.ndarray:
+    """W = V U^dag at every point of the broadcast grid of (eps, f).
 
     V is the sequence composed under error model ``kind``, U the ideal
-    target; the result has the broadcast shape of the fractions ``kind``
-    uses.  With W = V U^dag = a0 I + a.sigma, the infidelity is evaluated as
-    |a|^2 / (1 + |a0|), which equals 1 - |a0| for unitary W but involves no
-    cancellation, so float64 resolves it far below 1e-16.
+    target; W has the broadcast shape of the fractions ``kind`` uses,
+    followed by (2, 2).
     """
     w = None
     for p in pulses:
@@ -49,7 +56,18 @@ def infidelity_grid(pulses, kind: str, eps, f, target: Pulse) -> np.ndarray:
         w = m if w is None else m @ w
     if w is None:
         raise ValueError("cannot compose an empty pulse sequence")
-    w = w @ rotation(target.angle, target.phase).conj().T
+    return w @ rotation(target.angle, target.phase).conj().T
+
+
+def infidelity_grid(pulses, kind: str, eps, f, target: Pulse) -> np.ndarray:
+    """1 - |Tr(V U^dag)|/2 at every point of the broadcast grid of (eps, f).
+
+    With W = V U^dag = a0 I + a.sigma (see :func:`_residual_grid`), the
+    infidelity is evaluated as |a|^2 / (1 + |a0|), which equals 1 - |a0| for
+    unitary W but involves no cancellation, so float64 resolves it far below
+    1e-16.
+    """
+    w = _residual_grid(pulses, kind, eps, f, target)
     a0 = np.abs(w[..., 0, 0] + w[..., 1, 1]) / 2.0
     az = np.abs(w[..., 0, 0] - w[..., 1, 1]) / 2.0
     # |a_x|^2 + |a_y|^2 = (|w01|^2 + |w10|^2) / 2
@@ -80,7 +98,7 @@ def _axis_sweep(seq, axis: str, target: Pulse | None, grid) -> tuple[np.ndarray,
     return grid, infidelity_grid(seq, _AXIS_KIND[axis], eps, f, target)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepResult:
     """Infidelity sweep plus the log-log fit over the clean window.
 
@@ -173,7 +191,7 @@ def fit_leading_coefficient(
     return float(coeffs[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrossoverResult:
     """Per-angle leading-error magnitudes for several variants, plus where
     the first two variants swap rank."""
@@ -184,12 +202,29 @@ class CrossoverResult:
     flagged: bool
 
 
+def taylor_coefficients(values: np.ndarray) -> np.ndarray:
+    """Taylor coefficients of degree 0..3 of a function analytic in eps.
+
+    ``values`` holds the function at the nodes ``CONTOUR_EPS`` along its last
+    axis; the result replaces that axis by the four coefficients.  Each is
+    the discrete Cauchy integral A_k = sum_j a_j e^(-2 pi i j k / N) / (N r^k).
+    Its aliasing error is A_(k+N) r^N + A_(k+2N) r^(2N) + ..., and its
+    rounding error is about eps_mach max|a| / r^k.
+    """
+    return values @ _CAUCHY
+
+
 def _degree3_magnitude(name: str, theta: float) -> float:
+    """Norm of the degree-3 sigma coefficient of ``name``'s pulse-length residual."""
     seq = build(name, theta)
-    res = _series.residual(seq.pulses, seq.target, PULSE_LENGTH, degree=3)
-    if res.degree_pauli_norm(1) > 1e-10 or res.degree_pauli_norm(2) > 1e-10:
+    w = _residual_grid(seq.pulses, PULSE_LENGTH, CONTOUR_EPS, 0.0, seq.target)
+    # sigma parts of W without conj, so that they stay analytic in eps
+    w01, w10 = w[:, 0, 1], w[:, 1, 0]
+    sigma = np.stack([w01 + w10, 1j * (w01 - w10), w[:, 0, 0] - w[:, 1, 1]]) / 2.0
+    norms = np.sqrt((np.abs(taylor_coefficients(sigma)) ** 2).sum(axis=0))
+    if norms[1] > 1e-10 or norms[2] > 1e-10:
         raise ValueError(f"{name} is not second-order correct at theta = {theta}")
-    return res.degree_pauli_norm(3)
+    return float(norms[3])
 
 
 def crossover_scan(names, thetas) -> CrossoverResult:
@@ -244,7 +279,7 @@ def inverse_quality(seq, seq_inv, model_kind: str, grid=None) -> SweepResult:
     return estimate_order(pulses, axis, target=Pulse(0.0, 0.0), grid=grid)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurfaceFit:
     """Two-dimensional infidelity table with the fitted leading coefficients."""
 

@@ -213,6 +213,12 @@ class TestSweep:
             run_main("sweep", "bb1", "--grid", "1:2")
         assert err.value.code == EXIT_USAGE
 
+    def test_non_finite_grid_end(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_main("sweep", "bb1", "--model", "ple", "--grid", "nan:1e-1:5")
+        assert err.value.code == EXIT_USAGE
+        assert "grid must be" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_crossover_reported(self, capsys):
@@ -230,6 +236,13 @@ class TestCompare:
             == EXIT_OK
         )
         assert "no crossover" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spec", ["10:180:-3", "10:180:0"])
+    def test_bad_theta_range(self, spec, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_main("compare", "--variants", "bb1", "sk2rot", "--theta-range", spec)
+        assert err.value.code == EXIT_USAGE
+        assert "theta range must be" in capsys.readouterr().err
 
     def test_single_variant_rejected(self, capsys):
         assert run_main("compare", "--variants", "bb1") == EXIT_USAGE

@@ -1,13 +1,17 @@
 """Numeric cross-checks: sweeps, slope fits, crossover scan, surfaces."""
 
+import ast
 import math
 
 import numpy as np
 import pytest
 
+import compulse.verify
 from compulse import Pulse, residual
 from compulse.sequences import build, corpse, ple_pure_error, shift_phases
+from compulse.su2 import pulse_matrix
 from compulse.verify import (
+    CONTOUR_EPS,
     crossover_scan,
     estimate_order,
     fidelity_surface,
@@ -16,6 +20,7 @@ from compulse.verify import (
     infidelity_grid,
     infidelity_ld,
     inverse_quality,
+    taylor_coefficients,
 )
 
 PI = math.pi
@@ -150,8 +155,73 @@ class TestCrossoverScan:
             crossover_scan(["bb1"], np.radians([90.0, 180.0]))
 
     def test_rejects_uncorrected_variant(self):
-        with pytest.raises(ValueError):
-            crossover_scan(["simple", "bb1"], np.radians([90.0, 180.0]))
+        for names in (["simple", "bb1"], ["sk1", "sk2"]):
+            with pytest.raises(ValueError):
+                crossover_scan(names, np.radians([90.0, 180.0]))
+
+    def test_readme_range_crossover(self):
+        scan = crossover_scan(["bb1", "sk2rot"], np.radians(np.linspace(10.0, 180.0, 86)))
+        assert not scan.flagged
+        assert scan.crossover_theta == pytest.approx(2.9441399304550355, rel=0.0, abs=1e-12)
+
+
+class TestContour:
+    """Taylor coefficients in eps by the discrete Cauchy integral."""
+
+    @pytest.mark.parametrize("name", ["bb1", "sk2", "sk2rot"])
+    def test_degree3_magnitudes_match_series(self, name):
+        thetas = np.radians([10.0, 45.0, 90.0, 135.0, 168.7, 180.0])
+        scan = crossover_scan([name, name], thetas)
+        for theta, got in zip(thetas, scan.magnitudes[name]):
+            seq = build(name, theta)
+            want = residual(seq.pulses, seq.target, "ple", 3).degree_pauli_norm(3)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("angle, phase", [(0.5, 0.0), (PI / 2, 0.3), (PI, 1.1), (5.0, 4.0), (-2.2, 0.9)])
+    def test_single_pulse_coefficients(self, angle, phase):
+        p = Pulse(angle, phase)
+        m = pulse_matrix(p, "ple", CONTOUR_EPS, 0.0)
+        half = p.angle / 2.0
+        scale = np.array([half**k / math.factorial(k) for k in range(4)])
+        cos_derivs = np.array([math.cos(half), -math.sin(half), -math.cos(half), math.sin(half)])
+        sin_derivs = np.array([math.sin(half), math.cos(half), -math.sin(half), -math.cos(half)])
+        phase_factor = math.sin(p.phase) - 1j * math.cos(p.phase)
+        np.testing.assert_allclose(taylor_coefficients(m[:, 0, 0]), scale * cos_derivs, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(
+            taylor_coefficients(m[:, 1, 0]), scale * sin_derivs * phase_factor, rtol=0, atol=1e-13
+        )
+
+    @pytest.mark.parametrize("kind", ["ore", "sim"])
+    def test_tilted_axis_coefficients_match_series(self, kind):
+        # complex w or f takes the m = sqrt(w^2 + f^2) continuation
+        from compulse.series import propagator_series
+
+        for p in (Pulse(PI, 0.0), Pulse(1.3, 2.1), Pulse(2 * PI, 5.0)):
+            eps, f = (CONTOUR_EPS, 0.0) if kind == "sim" else (0.0, CONTOUR_EPS)
+            m = pulse_matrix(p, kind, eps, f)
+            ser = propagator_series(p, kind, 3)
+            for k in range(4):
+                i, j = (k, 0) if kind == "sim" else (0, k)
+                got = taylor_coefficients(m[:, 0, 0])[k], taylor_coefficients(m[:, 1, 0])[k]
+                assert got == pytest.approx((ser.alpha.coeff(i, j), ser.beta.coeff(i, j)), abs=1e-13)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-3, -0.05, 0.2])
+    def test_complex_eps_on_real_axis_matches_real_path(self, eps):
+        for p in (Pulse(PI, 0.0), Pulse(1.3, 2.1), Pulse(-2.2, 0.9), Pulse(2 * PI, 5.0)):
+            real = pulse_matrix(p, "ple", eps, 0.0)
+            analytic = pulse_matrix(p, "ple", complex(eps, 0.0), 0.0)
+            for part in (np.real, np.imag):
+                assert np.all(np.abs(part(analytic) - part(real)) <= np.spacing(np.abs(part(real))))
+
+    def test_verify_does_not_import_series(self):
+        with open(compulse.verify.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert all("series" not in alias.name.split(".") for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                assert "series" not in (node.module or "").split(".")
+                assert all(alias.name != "series" for alias in node.names)
 
 
 class TestInverseQuality:
