@@ -333,6 +333,18 @@ def _parse_degree(spec: str) -> int:
     return degree
 
 
+def _theta(spec: str) -> float:
+    try:
+        theta = float(spec)
+        if not math.isfinite(theta):
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"theta must be a finite angle in degrees, got {spec!r}"
+        ) from None
+    return theta
+
+
 def _theta_range(spec: str) -> tuple[float, float, int]:
     try:
         lo, hi, n = spec.split(":")
@@ -355,7 +367,7 @@ def main(argv=None) -> int:
 
     p_synth = sub.add_parser("synth", help="emit a sequence document as JSON")
     p_synth.add_argument("name", help=f"catalog name, one of: {', '.join(sorted(CATALOG))}")
-    p_synth.add_argument("--theta", type=float, default=180.0, help="target angle in degrees")
+    p_synth.add_argument("--theta", type=_theta, default=180.0, help="target angle in degrees")
     p_synth.add_argument("--out", default=None, help="output path (default stdout)")
     p_synth.set_defaults(func=cmd_synth)
 
@@ -363,7 +375,7 @@ def main(argv=None) -> int:
     p_verify.add_argument("sequence", help="catalog name or document path")
     p_verify.add_argument("--model", choices=list(MODEL_KINDS), default=None)
     p_verify.add_argument("--expect-order", "--order", dest="expect_order", type=int, required=True)
-    p_verify.add_argument("--theta", type=float, default=180.0, help="target angle in degrees (catalog names)")
+    p_verify.add_argument("--theta", type=_theta, default=180.0, help="target angle in degrees (catalog names)")
     p_verify.add_argument("--degree", type=_parse_degree, default=_series.DEFAULT_DEGREE,
                           help=f"series truncation degree, 1..{MAX_DEGREE}")
     p_verify.add_argument("--json", action="store_true", help="emit the report as JSON")
@@ -372,7 +384,7 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="write an infidelity sweep as CSV")
     p_sweep.add_argument("sequence", help="catalog name or document path")
     p_sweep.add_argument("--model", choices=list(MODEL_KINDS), default=None)
-    p_sweep.add_argument("--theta", type=float, default=180.0)
+    p_sweep.add_argument("--theta", type=_theta, default=180.0)
     p_sweep.add_argument("--grid", type=_parse_grid, default=None, help="min:max:points, geometric")
     p_sweep.add_argument("--out", default=None, help="output path (default stdout)")
     p_sweep.set_defaults(func=cmd_sweep)

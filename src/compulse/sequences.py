@@ -13,12 +13,20 @@ terms of any order can be assembled from 2pi rotations.  Off-resonance
 correction sequences (CORPSE and the sequences built from 90/180 degree
 blocks) only have approximate inverses available, which restricts how error
 terms may be combined and rotated.
+
+``CATALOG`` maps each sequence name to its one builder, ``theta ->
+PulseSequence``, and the sequence it returns carries that name.
+``build(name, theta)`` is the constructor for catalog entries.  Six entries
+are defined for a 180 degree target only and refuse any other angle.
+``bb1``, ``corpse`` (with the winding family ``corpse(theta, windings)``) and
+``short_corpse`` are also public; the tunable pure error terms come from
+``ple_pure_error`` and ``or_pure_error``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from . import series as _series
@@ -60,7 +68,10 @@ class PulseSequence:
 
 
 class SolverFailure(RuntimeError):
-    """Raised when a numeric phase solver fails to converge; carries the best iterate."""
+    """Raised when a phase solver's root fails its residual check.
+
+    ``best`` holds that root and its residual norm.
+    """
 
     def __init__(self, message, best=None):
         super().__init__(message)
@@ -69,6 +80,11 @@ class SolverFailure(RuntimeError):
 
 def _p(angle: float, phase: float) -> Pulse:
     return Pulse(angle, phase)
+
+
+def _require_pi(theta: float, name: str) -> None:
+    if not math.isclose(theta, PI, rel_tol=0.0, abs_tol=1e-9):
+        raise ValueError(f"{name} is only defined for a 180 degree target")
 
 
 # ---------------------------------------------------------------------------
@@ -214,55 +230,56 @@ def bb1(theta: float) -> PulseSequence:
     )
 
 
-def sk_corrected(theta: float, order) -> PulseSequence:
-    """Commutator-style corrected rotation, accurate to the requested order.
+def _sk1(theta: float) -> PulseSequence:
+    """The rotation followed by the scaled first-order term X1(phi1): second order."""
+    p1 = _phi1(theta)
+    pulses = [_p(theta, 0.0), *_x1(p1)]
+    return PulseSequence("sk1", theta, tuple(pulses), PULSE_LENGTH, metadata={"phi1": p1})
 
-    order=1 appends the scaled first-order term X1(phi1); order=2 also
-    appends the second-order z term Z2'(phi2); order="2rotated" builds the
-    same z term by conjugating an x term with erroneous pi/2 pulses instead;
-    order=3 (180 degree target only) cancels the remaining third-order error
-    of the broadband sequence with a phase-shifted X3 term.
-    """
-    if order == 1:
-        p1 = _phi1(theta)
-        pulses = [_p(theta, 0.0), *_x1(p1)]
-        return PulseSequence("sk1", theta, tuple(pulses), PULSE_LENGTH, metadata={"phi1": p1})
-    if order == 2:
-        p1, p2 = _phi1(theta), _phi2(theta)
-        pulses = [_p(theta, 0.0), *_x1(p1), *_z2_prime(p2)]
-        return PulseSequence(
-            "sk2", theta, tuple(pulses), PULSE_LENGTH, metadata={"phi1": p1, "phi2": p2}
-        )
-    if order == "2rotated":
-        p1, p2 = _phi1(theta), _phi2(theta)
-        rotated = [_p(PI / 2, PI / 2), *_x2_prime(p2), _p(PI / 2, 3 * PI / 2)]
-        pulses = [_p(theta, 0.0), *_x1(p1), *rotated]
-        return PulseSequence(
-            "sk2rot", theta, tuple(pulses), PULSE_LENGTH, metadata={"phi1": p1, "phi2": p2}
-        )
-    if order == 3:
-        if not math.isclose(theta, PI, rel_tol=0.0, abs_tol=1e-12):
-            raise ValueError("third-order correction is only implemented for a 180 degree target")
-        phi3, delta = solve_third_order()
-        base = bb1(PI)
-        tail = [Pulse(p.angle, p.phase + delta) for p in _x3(phi3)]
-        pulses = [*base.pulses, *tail]
-        meta = dict(base.metadata, phi3=phi3, delta=delta)
-        return PulseSequence("sk3", PI, tuple(pulses), PULSE_LENGTH, metadata=meta)
-    raise ValueError(f"unsupported correction order {order!r}")
+
+def _sk2(theta: float) -> PulseSequence:
+    """sk1 followed by the second-order z term Z2'(phi2): third order."""
+    p1, p2 = _phi1(theta), _phi2(theta)
+    pulses = [_p(theta, 0.0), *_x1(p1), *_z2_prime(p2)]
+    return PulseSequence(
+        "sk2", theta, tuple(pulses), PULSE_LENGTH, metadata={"phi1": p1, "phi2": p2}
+    )
+
+
+def _sk2rot(theta: float) -> PulseSequence:
+    """sk2 with its z term built by conjugating an x term with erroneous pi/2 pulses."""
+    p1, p2 = _phi1(theta), _phi2(theta)
+    rotated = [_p(PI / 2, PI / 2), *_x2_prime(p2), _p(PI / 2, 3 * PI / 2)]
+    pulses = [_p(theta, 0.0), *_x1(p1), *rotated]
+    return PulseSequence(
+        "sk2rot", theta, tuple(pulses), PULSE_LENGTH, metadata={"phi1": p1, "phi2": p2}
+    )
+
+
+def _sk3(theta: float) -> PulseSequence:
+    """bb1(pi) then X3(phi3) with every phase shifted by delta: fourth order, 180 only."""
+    _require_pi(theta, "sk3")
+    phi3, delta = solve_third_order()
+    base = bb1(PI)
+    tail = [Pulse(p.angle, p.phase + delta) for p in _x3(phi3)]
+    pulses = [*base.pulses, *tail]
+    meta = dict(base.metadata, phi3=phi3, delta=delta)
+    return PulseSequence("sk3", PI, tuple(pulses), PULSE_LENGTH, metadata=meta)
 
 
 @lru_cache(maxsize=1)
-def solve_third_order(tol: float = 1e-12, max_iter: int = 100) -> tuple[float, float]:
+def solve_third_order(tol: float = 1e-12) -> tuple[float, float]:
     """Phase pair (phi3, delta) cancelling the third-order error of bb1(pi).
 
-    The residual of the broadband 180 sequence has its degree-3 sigma vector
-    in the xy plane; following it with X3(phi3), every phase shifted by delta,
-    adds -i 32 pi^3 cos^3(phi3) (cos(delta) sigma_x + sin(delta) sigma_y).
-    The two in-plane components are driven to zero with a damped Newton
-    iteration (finite-difference Jacobian); the seed comes from reading the
-    required magnitude and direction off the degree-3 vector itself, which
-    selects the branch with phi3 in (0, pi/2).
+    The residual of the broadband 180 sequence has no degree-1 or degree-2
+    sigma terms, and its degree-3 sigma vector lies in the xy plane.  X3(phi3)
+    with every phase shifted by delta has no degree-1 or degree-2 terms
+    either, so appending it adds exactly
+    -i 32 pi^3 cos^3(phi3) (cos(delta) sigma_x + sin(delta) sigma_y)
+    at degree 3.  The root is read off bb1's degree-3 vector in closed form,
+    on the branch with phi3 in (0, pi/2), and checked with one more residual.
+    If that check does not fall below ``tol``, SolverFailure carries
+    ``best = (phi3, delta, |residual|)``.
     """
 
     base = bb1(PI).pulses
@@ -272,48 +289,17 @@ def solve_third_order(tol: float = 1e-12, max_iter: int = 100) -> tuple[float, f
         _, cx, cy, _ = _series.residual(pulses, target, PULSE_LENGTH, degree=3).degree_pauli(3)
         return cx.imag, cy.imag
 
-    def components(phi3: float, delta: float):
-        return degree3([*base, *(Pulse(p.angle, p.phase + delta) for p in _x3(phi3))])
-
     vx, vy = degree3(base)
-    mag = math.hypot(vx, vy)
-    phi3 = math.acos((mag / (32.0 * PI**3)) ** (1.0 / 3.0))
-    delta = math.atan2(vy, vx)
-
-    best = None
-    h = 1e-7
-    for _ in range(max_iter):
-        rx, ry = components(phi3, delta)
-        norm = math.hypot(rx, ry)
-        if best is None or norm < best[2]:
-            best = (phi3, delta, norm)
-        if norm < tol:
-            return phi3, delta % TWO_PI
-        # finite-difference Jacobian
-        j = [[0.0, 0.0], [0.0, 0.0]]
-        for k, (dp, dd) in enumerate(((h, 0.0), (0.0, h))):
-            rxp, ryp = components(phi3 + dp, delta + dd)
-            rxm, rym = components(phi3 - dp, delta - dd)
-            j[0][k] = (rxp - rxm) / (2 * h)
-            j[1][k] = (ryp - rym) / (2 * h)
-        det = j[0][0] * j[1][1] - j[0][1] * j[1][0]
-        if det == 0.0:
-            break
-        step_p = (-rx * j[1][1] + ry * j[0][1]) / det
-        step_d = (-ry * j[0][0] + rx * j[1][0]) / det
-        scale = 1.0
-        for _ in range(50):
-            nrx, nry = components(phi3 + scale * step_p, delta + scale * step_d)
-            if math.hypot(nrx, nry) < norm:
-                break
-            scale *= 0.5
-        phi3 += scale * step_p
-        delta += scale * step_d
-    raise SolverFailure(
-        f"third-order phase solver did not reach |residual| < {tol} "
-        f"in {max_iter} iterations (best {best[2]:.3e})",
-        best=best,
-    )
+    phi3 = math.acos((math.hypot(vx, vy) / (32.0 * PI**3)) ** (1.0 / 3.0))
+    delta = math.atan2(vy, vx) % TWO_PI
+    norm = math.hypot(*degree3([*base, *(Pulse(p.angle, p.phase + delta) for p in _x3(phi3))]))
+    if not norm < tol:
+        raise SolverFailure(
+            f"third-order phase solver: |residual| {norm:.3e} at the closed-form root "
+            f"is not below {tol}",
+            best=(phi3, delta, norm),
+        )
+    return phi3, delta
 
 
 # ---------------------------------------------------------------------------
@@ -404,14 +390,6 @@ class CorpseAngles:
     theta_c: float
 
 
-_CORPSE_PRESETS = {
-    "corpse": (1, 1, 0),
-    "short": (0, 1, 0),
-    "short-corpse": (0, 1, 0),
-    "short_corpse": (0, 1, 0),
-}
-
-
 def corpse_angles(theta: float, na: int, nb: int, nc: int) -> CorpseAngles:
     k = math.asin(math.sin(theta / 2.0) / 2.0)
     a = na * TWO_PI + theta / 2.0 - k
@@ -424,43 +402,26 @@ def corpse_angles(theta: float, na: int, nb: int, nc: int) -> CorpseAngles:
     return CorpseAngles(na, nb, nc, a, b, c)
 
 
-def corpse(theta: float, preset="corpse") -> PulseSequence:
+def corpse(theta: float, windings=(1, 1, 0)) -> PulseSequence:
     """Three-segment first-order off-resonance correction.
 
-    ``preset`` selects the winding integers: "corpse" is (1, 1, 0), the
-    smallest-error choice; "short" is (0, 1, 0), the shortest possible; a
-    tuple (na, nb, nc) picks any other member of the family.  The middle
-    segment runs with phase pi, the outer two with phase 0.
+    ``windings`` are the integers (na, nb, nc).  The default (1, 1, 0) is the
+    smallest-error choice and is named "corpse"; any other member of the
+    family is named "corpse-<na><nb><nc>".  The middle segment runs with
+    phase pi, the outer two with phase 0.
     """
-    if isinstance(preset, str):
-        try:
-            na, nb, nc = _CORPSE_PRESETS[preset]
-        except KeyError:
-            raise ValueError(f"unknown corpse preset {preset!r}") from None
-        name = "short-corpse" if preset.startswith("short") else "corpse"
-    else:
-        na, nb, nc = preset
-        name = f"corpse-{na}{nb}{nc}"
+    na, nb, nc = windings
     ang = corpse_angles(theta, na, nb, nc)
+    name = "corpse" if (na, nb, nc) == (1, 1, 0) else f"corpse-{na}{nb}{nc}"
     pulses = (_p(ang.theta_a, 0.0), _p(ang.theta_b, PI), _p(ang.theta_c, 0.0))
-    return PulseSequence(
-        name,
-        theta,
-        pulses,
-        OFF_RESONANCE,
-        metadata={
-            "theta_a": ang.theta_a,
-            "theta_b": ang.theta_b,
-            "theta_c": ang.theta_c,
-            "na": na,
-            "nb": nb,
-            "nc": nc,
-        },
-    )
+    meta = {"theta_a": ang.theta_a, "theta_b": ang.theta_b, "theta_c": ang.theta_c,
+            "na": na, "nb": nb, "nc": nc}
+    return PulseSequence(name, theta, pulses, OFF_RESONANCE, metadata=meta)
 
 
 def short_corpse(theta: float) -> PulseSequence:
-    return corpse(theta, "short")
+    """The shortest member of the corpse family, windings (0, 1, 0)."""
+    return replace(corpse(theta, (0, 1, 0)), name="short-corpse")
 
 
 # ---------------------------------------------------------------------------
@@ -469,110 +430,84 @@ def short_corpse(theta: float) -> PulseSequence:
 PHI1_180 = math.acos(-0.25)
 
 
-def or_corrected(variant: str, theta: float | None = None) -> PulseSequence:
-    """Corrected rotations for off-resonance (and simultaneous) errors.
+def _or_first(theta: float) -> PulseSequence:
+    """Y1'(phi1) after a 180 pulse, phi1 = arccos(-1/4); 180 degrees only."""
+    _require_pi(theta, "or-first")
+    pulses = [_p(PI, 0.0), *_y1p_or(PHI1_180)]
+    return PulseSequence("or-first", PI, tuple(pulses), OFF_RESONANCE, metadata={"phi1": PHI1_180})
 
-    Variants:
 
-    - ``first_pi``: Y1'(phi1) after a 180 pulse, phi1 = arccos(-1/4).
-    - ``first_general``: works for any 0 < theta <= 2pi by combining the z
-      and y first-order terms; cross terms between the two blocks stay at
-      second order.
-    - ``second_corpse_rotated``: second-order correction with the z error
-      term rotated about y by corpse pulses.
-    - ``second_xz``: second-order correction assembled from z and x error
-      terms, 90/180 degree pulses only.
-    - ``time_symmetric``: palindromic first-order correction; its fidelity
-      is an even function of the off-resonance fraction.
-    - ``simultaneous_pi``: eight-pulse 180 rotation tolerant of either error
-      channel, combining the broadband correction trio (inert under pure
-      off-resonance at first order) with a Y1'-type quad (exactly inert
-      under pure amplitude errors).
+def _or_first_general(theta: float) -> PulseSequence:
+    """First-order correction for any 0 < theta <= 2pi from z and y first-order terms.
+
+    Cross terms between the two blocks stay at second order.
     """
-    if variant == "first_pi":
-        pulses = [_p(PI, 0.0), *_y1p_or(PHI1_180)]
-        return PulseSequence(
-            "or-first", PI, tuple(pulses), OFF_RESONANCE, metadata={"phi1": PHI1_180}
-        )
+    if not 0.0 < theta <= TWO_PI:
+        raise ValueError(f"or-first-general target must lie in (0, 2pi], got {theta}")
+    phi1y = math.acos(-math.sin(theta / 2.0) ** 2 / 4.0)
+    phi1z = -math.asin(math.sin(theta) / 4.0)
+    # b1 needs nonnegative pulse angles; pi - phi1z has the same sine,
+    # so it carries the same first-order coefficient with realizable pulses
+    phi1z_used = phi1z if phi1z >= 0.0 else PI - phi1z
+    pulses = [_p(theta, 0.0), *_y1p_or(phi1y), *_b1(phi1z_used)]
+    meta = {"phi1y": phi1y, "phi1z": phi1z, "phi1z_used": phi1z_used}
+    return PulseSequence("or-first-general", theta, tuple(pulses), OFF_RESONANCE, metadata=meta)
 
-    if variant == "first_general":
-        if theta is None:
-            raise ValueError("first_general needs a target angle")
-        if not 0.0 < theta <= TWO_PI:
-            raise ValueError(f"first_general target must lie in (0, 2pi], got {theta}")
-        phi1y = math.acos(-math.sin(theta / 2.0) ** 2 / 4.0)
-        phi1z = -math.asin(math.sin(theta) / 4.0)
-        # b1 needs nonnegative pulse angles; pi - phi1z has the same sine,
-        # so it carries the same first-order coefficient with realizable pulses
-        phi1z_used = phi1z if phi1z >= 0.0 else PI - phi1z
-        pulses = [_p(theta, 0.0), *_y1p_or(phi1y), *_b1(phi1z_used)]
-        return PulseSequence(
-            "or-first-general",
-            theta,
-            tuple(pulses),
-            OFF_RESONANCE,
-            metadata={"phi1y": phi1y, "phi1z": phi1z, "phi1z_used": phi1z_used},
-        )
 
-    if variant == "second_corpse_rotated":
-        psi2 = math.atan(PI / (2.0 * math.sqrt(15.0)))
-        phi2 = math.acos((60.0 + PI**2) ** 0.25 / (8.0 * math.sqrt(2.0)))
-        base = corpse(psi2, "corpse").pulses
-        # C(psi2, 3pi/2) before the z term, C(psi2, pi/2) after: a y-axis
-        # conjugation that tilts the second-order z error onto the residual
-        rot_in = tuple(Pulse(p.angle, p.phase + 3 * PI / 2) for p in base)
-        rot_out = tuple(Pulse(p.angle, p.phase + PI / 2) for p in base)
-        pulses = [
-            _p(PI, 0.0),
-            *_y1p_or(PHI1_180),
-            *rot_in,
-            *_z2p_or(phi2),
-            *rot_out,
-        ]
-        return PulseSequence(
-            "or-second-corpse",
-            PI,
-            tuple(pulses),
-            OFF_RESONANCE,
-            metadata={"phi1": PHI1_180, "phi2": phi2, "psi2": psi2},
-        )
+def _or_second_corpse(theta: float) -> PulseSequence:
+    """Second order, the z error term rotated about y by corpse pulses; 180 only."""
+    _require_pi(theta, "or-second-corpse")
+    psi2 = math.atan(PI / (2.0 * math.sqrt(15.0)))
+    phi2 = math.acos((60.0 + PI**2) ** 0.25 / (8.0 * math.sqrt(2.0)))
+    base = corpse(psi2).pulses
+    # C(psi2, 3pi/2) before the z term, C(psi2, pi/2) after: a y-axis
+    # conjugation that tilts the second-order z error onto the residual
+    rot_in = tuple(Pulse(p.angle, p.phase + 3 * PI / 2) for p in base)
+    rot_out = tuple(Pulse(p.angle, p.phase + PI / 2) for p in base)
+    pulses = [_p(PI, 0.0), *_y1p_or(PHI1_180), *rot_in, *_z2p_or(phi2), *rot_out]
+    meta = {"phi1": PHI1_180, "phi2": phi2, "psi2": psi2}
+    return PulseSequence("or-second-corpse", PI, tuple(pulses), OFF_RESONANCE, metadata=meta)
 
-    if variant == "second_xz":
-        phi2x = math.acos(-PI / 64.0)
-        phi2z = math.acos(15.0**0.25 / 8.0)
-        pulses = [_p(PI, 0.0), *_y1p_or(PHI1_180), *_z2p_or(phi2z), *_x2_or(phi2x)]
-        return PulseSequence(
-            "or-second-xz",
-            PI,
-            tuple(pulses),
-            OFF_RESONANCE,
-            metadata={"phi1": PHI1_180, "phi2x": phi2x, "phi2z": phi2z},
-        )
 
-    if variant == "time_symmetric":
-        phi1p = math.acos(-0.125)
-        pulses = [*_y1_or(phi1p), _p(PI, 0.0), *_y1p_or(phi1p)]
-        return PulseSequence(
-            "or-timesym", PI, tuple(pulses), OFF_RESONANCE, metadata={"phi1_prime": phi1p}
-        )
+def _or_second_xz(theta: float) -> PulseSequence:
+    """Second order from z and x error terms, 90/180 degree pulses only; 180 only."""
+    _require_pi(theta, "or-second-xz")
+    phi2x = math.acos(-PI / 64.0)
+    phi2z = math.acos(15.0**0.25 / 8.0)
+    pulses = [_p(PI, 0.0), *_y1p_or(PHI1_180), *_z2p_or(phi2z), *_x2_or(phi2x)]
+    meta = {"phi1": PHI1_180, "phi2x": phi2x, "phi2z": phi2z}
+    return PulseSequence("or-second-xz", PI, tuple(pulses), OFF_RESONANCE, metadata=meta)
 
-    if variant == "simultaneous_pi":
-        phi1 = PHI1_180
-        pulses = (
-            _p(PI, 0.0),
-            _p(PI, phi1),
-            _p(TWO_PI, 3.0 * phi1),
-            _p(PI, phi1),
-            _p(PI, PI - phi1),
-            _p(PI, -phi1),
-            _p(PI, PI + phi1),
-            _p(PI, phi1),
-        )
-        return PulseSequence(
-            "simultaneous", PI, pulses, SIMULTANEOUS, metadata={"phi1": phi1}
-        )
 
-    raise ValueError(f"unknown off-resonance corrected variant {variant!r}")
+def _or_timesym(theta: float) -> PulseSequence:
+    """Palindromic first-order correction, fidelity even in f; 180 only."""
+    _require_pi(theta, "or-timesym")
+    phi1p = math.acos(-0.125)
+    pulses = [*_y1_or(phi1p), _p(PI, 0.0), *_y1p_or(phi1p)]
+    meta = {"phi1_prime": phi1p}
+    return PulseSequence("or-timesym", PI, tuple(pulses), OFF_RESONANCE, metadata=meta)
+
+
+def _simultaneous(theta: float) -> PulseSequence:
+    """Eight-pulse 180 rotation tolerant of either error channel; 180 only.
+
+    The broadband correction trio (inert under pure off-resonance at first
+    order) followed by a Y1'-type quad (exactly inert under pure amplitude
+    errors).
+    """
+    _require_pi(theta, "simultaneous")
+    phi1 = PHI1_180
+    pulses = (
+        _p(PI, 0.0),
+        _p(PI, phi1),
+        _p(TWO_PI, 3.0 * phi1),
+        _p(PI, phi1),
+        _p(PI, PI - phi1),
+        _p(PI, -phi1),
+        _p(PI, PI + phi1),
+        _p(PI, phi1),
+    )
+    return PulseSequence("simultaneous", PI, pulses, SIMULTANEOUS, metadata={"phi1": phi1})
 
 
 def shift_phases(seq: PulseSequence, dphi: float) -> PulseSequence:
@@ -601,47 +536,21 @@ def _simple(theta: float) -> PulseSequence:
     return PulseSequence("simple", theta, (_p(theta, 0.0),), PULSE_LENGTH)
 
 
-def _fixed_pi(builder, label):
-    def build(theta: float) -> PulseSequence:
-        if not math.isclose(theta, PI, rel_tol=0.0, abs_tol=1e-9):
-            raise ValueError(f"{label} is only defined for a 180 degree target")
-        return builder()
-
-    return build
-
-
 CATALOG = {
     "simple": _simple,
     "bb1": bb1,
-    "sk1": lambda th: sk_corrected(th, 1),
-    "sk2": lambda th: sk_corrected(th, 2),
-    "sk2rot": lambda th: sk_corrected(th, "2rotated"),
-    "sk3": _fixed_pi(lambda: sk_corrected(PI, 3), "sk3"),
-    "corpse": lambda th: corpse(th, "corpse"),
-    "short-corpse": lambda th: corpse(th, "short"),
-    "or-first": _fixed_pi(lambda: or_corrected("first_pi"), "or-first"),
-    "or-first-general": lambda th: or_corrected("first_general", th),
-    "or-second-corpse": _fixed_pi(lambda: or_corrected("second_corpse_rotated"), "or-second-corpse"),
-    "or-second-xz": _fixed_pi(lambda: or_corrected("second_xz"), "or-second-xz"),
-    "or-timesym": _fixed_pi(lambda: or_corrected("time_symmetric"), "or-timesym"),
-    "simultaneous": _fixed_pi(lambda: or_corrected("simultaneous_pi"), "simultaneous"),
-}
-
-CATALOG_MODELS = {
-    "simple": PULSE_LENGTH,
-    "bb1": PULSE_LENGTH,
-    "sk1": PULSE_LENGTH,
-    "sk2": PULSE_LENGTH,
-    "sk2rot": PULSE_LENGTH,
-    "sk3": PULSE_LENGTH,
-    "corpse": OFF_RESONANCE,
-    "short-corpse": OFF_RESONANCE,
-    "or-first": OFF_RESONANCE,
-    "or-first-general": OFF_RESONANCE,
-    "or-second-corpse": OFF_RESONANCE,
-    "or-second-xz": OFF_RESONANCE,
-    "or-timesym": OFF_RESONANCE,
-    "simultaneous": SIMULTANEOUS,
+    "sk1": _sk1,
+    "sk2": _sk2,
+    "sk2rot": _sk2rot,
+    "sk3": _sk3,
+    "corpse": corpse,
+    "short-corpse": short_corpse,
+    "or-first": _or_first,
+    "or-first-general": _or_first_general,
+    "or-second-corpse": _or_second_corpse,
+    "or-second-xz": _or_second_xz,
+    "or-timesym": _or_timesym,
+    "simultaneous": _simultaneous,
 }
 
 

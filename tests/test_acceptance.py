@@ -41,7 +41,7 @@ from compulse import (
     sequence_series,
     solve_third_order,
 )
-from compulse.sequences import build, corpse, or_corrected, or_pure_error, ple_pure_error, shift_phases, sk_corrected
+from compulse.sequences import build, corpse, or_pure_error, ple_pure_error, shift_phases
 from compulse.verify import (
     crossover_scan,
     estimate_order,
@@ -169,12 +169,12 @@ def test_criterion_06_solved_angles():
     """
     phi3, delta = solve_third_order()
     checks = [
-        ("phi1", math.degrees(or_corrected("first_pi").metadata["phi1"]), 104.5),
-        ("phi2_ore", math.degrees(or_corrected("second_corpse_rotated").metadata["phi2"]), 75.2),
-        ("psi2", math.degrees(or_corrected("second_corpse_rotated").metadata["psi2"]), 22.1),
-        ("phi2x", math.degrees(or_corrected("second_xz").metadata["phi2x"]), 92.8),
-        ("phi2z", math.degrees(or_corrected("second_xz").metadata["phi2z"]), 75.8),
-        ("phi1_prime", math.degrees(or_corrected("time_symmetric").metadata["phi1_prime"]), 97.2),
+        ("phi1", math.degrees(build("or-first", PI).metadata["phi1"]), 104.5),
+        ("phi2_ore", math.degrees(build("or-second-corpse", PI).metadata["phi2"]), 75.2),
+        ("psi2", math.degrees(build("or-second-corpse", PI).metadata["psi2"]), 22.1),
+        ("phi2x", math.degrees(build("or-second-xz", PI).metadata["phi2x"]), 92.8),
+        ("phi2z", math.degrees(build("or-second-xz", PI).metadata["phi2z"]), 75.8),
+        ("phi1_prime", math.degrees(build("or-timesym", PI).metadata["phi1_prime"]), 97.2),
         ("phi3", math.degrees(phi3), 73.1),
         ("delta", math.degrees(delta) - 360.0 * round(math.degrees(delta) / 360.0), -1.6),
     ]
@@ -188,7 +188,7 @@ def test_criterion_07_second_order_error_formula():
     ok = True
     rows = []
     for theta in (PI / 4, PI / 2, PI, 3 * PI / 2):
-        seq = sk_corrected(theta, 1)
+        seq = build("sk1", theta)
         a = residual(seq.pulses, seq.target, "ple", 2)
         _, cx, cy, cz = a.pauli_term(2, 0)
         expected = -1j * theta * math.sqrt(16 * PI**2 - theta**2) / 8
@@ -211,13 +211,13 @@ def test_criterion_08_inverse_quality():
     )
     pair = inverse_quality(corpse(theta), shift_phases(corpse(theta), PI), "ore")
 
-    def pair_mag(preset):
-        fwd = corpse(theta, preset)
-        bwd = shift_phases(corpse(theta, preset), PI)
+    def pair_mag(name):
+        fwd = build(name, theta)
+        bwd = shift_phases(build(name, theta), PI)
         a = residual((*fwd.pulses, *bwd.pulses), Pulse(0.0, 0.0), "ore", 3)
         return a.degree_pauli_norm(3)
 
-    m_short, m_orig = pair_mag("short"), pair_mag("corpse")
+    m_short, m_orig = pair_mag("short-corpse"), pair_mag("corpse")
     ok = plain.order == 1 and pair.order is not None and pair.order >= 3 and m_short < m_orig
     _report(
         8,

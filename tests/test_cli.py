@@ -107,6 +107,14 @@ class TestSynth:
         assert run_main("synth", "sk3", "--theta", "90") == EXIT_UNSOLVABLE
         assert run_main("synth", "bb1", "--theta", "900") == EXIT_UNSOLVABLE
 
+    @pytest.mark.parametrize("theta", ["nan", "inf"])
+    def test_non_finite_theta(self, theta, capsys):
+        for name in ("simple", "short-corpse"):
+            with pytest.raises(SystemExit) as err:
+                run_main("synth", name, "--theta", theta)
+            assert err.value.code == EXIT_USAGE
+            assert "finite" in capsys.readouterr().err
+
     def test_write_to_file(self, tmp_path, capsys):
         out = tmp_path / "seq.json"
         assert run_main("synth", "bb1", "--out", str(out)) == EXIT_OK

@@ -13,19 +13,17 @@ from compulse import (
 )
 from compulse.sequences import (
     CATALOG,
-    CATALOG_MODELS,
+    SolverFailure,
     bb1,
     build,
     corpse,
-    or_corrected,
     or_pure_error,
     ple_pure_error,
     shift_phases,
     short_corpse,
-    sk_corrected,
     solve_third_order,
 )
-from compulse.su2 import OFF_RESONANCE, PULSE_LENGTH
+from compulse.su2 import OFF_RESONANCE, PULSE_LENGTH, SIMULTANEOUS
 
 from conftest import ID2, maxdiff
 
@@ -154,41 +152,37 @@ class TestPulseLengthPureErrors:
 
 class TestSKCorrected:
     def test_sk1_metadata_and_order(self):
-        seq = sk_corrected(PI, 1)
+        seq = build("sk1", PI)
         assert len(seq) == 3
         assert math.degrees(seq.metadata["phi1"]) == pytest.approx(104.4775, abs=1e-3)
         assert _order(seq) == 2
 
     def test_sk2_eleven_pulses(self):
-        seq = sk_corrected(PI, 2)
+        seq = build("sk2", PI)
         assert len(seq) == 11
         assert math.degrees(seq.metadata["phi2"]) == pytest.approx(75.7591, abs=1e-3)
         assert seq.metadata["phi2"] == pytest.approx(math.acos(15**0.25 / 8))
         assert _order(seq) == 3
 
     def test_sk2rot_order(self):
-        seq = sk_corrected(PI, "2rotated")
+        seq = build("sk2rot", PI)
         assert len(seq) == 17
         assert _order(seq) == 3
 
     def test_sk3_order_four(self):
-        seq = sk_corrected(PI, 3)
+        seq = build("sk3", PI)
         assert len(seq) == 24
         assert _order(seq) == 4
 
     def test_sk3_other_angles_unsupported(self):
         with pytest.raises(ValueError):
-            sk_corrected(PI / 2, 3)
-
-    def test_unknown_order(self):
-        with pytest.raises(ValueError):
-            sk_corrected(PI, 5)
+            build("sk3", PI / 2)
 
 
 class TestThirdOrderSolver:
     def test_root_property(self):
         phi3, delta = solve_third_order()
-        seq = sk_corrected(PI, 3)
+        seq = build("sk3", PI)
         a = residual(seq.pulses, seq.target, PULSE_LENGTH, 3)
         assert a.degree_pauli_norm(3) < 1e-9
 
@@ -204,6 +198,14 @@ class TestThirdOrderSolver:
         phi3, delta = solve_third_order()
         assert math.degrees(phi3) == pytest.approx(81.6266, abs=1e-3)
         assert math.degrees(delta) == pytest.approx(142.2388, abs=1e-3)
+
+    def test_failed_check_carries_root(self):
+        # no residual is below a zero tolerance: the check fails, and the
+        # closed-form root still comes back as the best point
+        with pytest.raises(SolverFailure) as err:
+            solve_third_order.__wrapped__(tol=0.0)
+        assert err.value.best[:2] == solve_third_order()
+        assert 0.0 <= err.value.best[2] < 1e-9
 
 
 class TestCorpse:
@@ -231,14 +233,11 @@ class TestCorpse:
         with pytest.raises(ValueError):
             corpse(PI, (0, 0, 0))
 
-    def test_unknown_preset(self):
-        with pytest.raises(ValueError):
-            corpse(PI, "corpse2")
-
     @pytest.mark.parametrize("theta", [PI / 2, PI])
     @pytest.mark.parametrize("preset", ["corpse", "short"])
     def test_second_order_accurate(self, theta, preset):
-        assert _order(corpse(theta, preset)) == 2
+        seq = corpse(theta) if preset == "corpse" else short_corpse(theta)
+        assert _order(seq) == 2
 
     @pytest.mark.parametrize("theta", [0.8, 1.1, PI / 2])
     def test_inverse_pair_third_order(self, theta):
@@ -311,19 +310,19 @@ class TestOffResonancePureErrors:
 
 class TestOffResonanceCorrected:
     def test_first_pi_phase(self):
-        seq = or_corrected("first_pi")
+        seq = build("or-first", PI)
         assert math.degrees(seq.metadata["phi1"]) == pytest.approx(104.4775, abs=1e-3)
         assert _order(seq) == 2
 
     @pytest.mark.parametrize("theta_deg", [60.0, 120.0, 180.0])
     def test_first_general_orders(self, theta_deg):
-        seq = or_corrected("first_general", math.radians(theta_deg))
+        seq = build("or-first-general", math.radians(theta_deg))
         assert _order(seq) == 2
         assert all(p.angle >= 0.0 and not p.flipped for p in seq.pulses)
 
     def test_first_general_solved_phases(self):
         theta = math.radians(60.0)
-        seq = or_corrected("first_general", theta)
+        seq = build("or-first-general", theta)
         assert seq.metadata["phi1y"] == pytest.approx(
             math.acos(-math.sin(theta / 2) ** 2 / 4)
         )
@@ -331,24 +330,22 @@ class TestOffResonanceCorrected:
 
     def test_first_general_range(self):
         with pytest.raises(ValueError):
-            or_corrected("first_general", 0.0)
-        with pytest.raises(ValueError):
-            or_corrected("first_general")
+            build("or-first-general", 0.0)
 
     def test_second_corpse_rotated(self):
-        seq = or_corrected("second_corpse_rotated")
+        seq = build("or-second-corpse", PI)
         assert math.degrees(seq.metadata["psi2"]) == pytest.approx(22.0764, abs=1e-3)
         assert math.degrees(seq.metadata["phi2"]) == pytest.approx(75.1941, abs=1e-3)
         assert _order(seq) == 3
 
     def test_second_xz(self):
-        seq = or_corrected("second_xz")
+        seq = build("or-second-xz", PI)
         assert math.degrees(seq.metadata["phi2x"]) == pytest.approx(92.8136, abs=1e-3)
         assert math.degrees(seq.metadata["phi2z"]) == pytest.approx(75.7591, abs=1e-3)
         assert _order(seq) == 3
 
     def test_time_symmetric(self):
-        seq = or_corrected("time_symmetric")
+        seq = build("or-timesym", PI)
         assert math.degrees(seq.metadata["phi1_prime"]) == pytest.approx(97.1808, abs=1e-3)
         assert _order(seq) == 2
         # palindromic pulse list
@@ -356,7 +353,7 @@ class TestOffResonanceCorrected:
         assert fwd == pytest.approx(list(reversed(fwd)))
 
     def test_simultaneous_pulse_list(self):
-        seq = or_corrected("simultaneous_pi")
+        seq = build("simultaneous", PI)
         phi1 = math.acos(-0.25)
         expected = [
             (PI, 0.0),
@@ -370,10 +367,6 @@ class TestOffResonanceCorrected:
         ]
         got = [(p.angle, p.phase) for p in seq.pulses]
         assert got == pytest.approx(expected)
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            or_corrected("zeroth")
 
 
 class TestSimultaneousCoefficients:
@@ -399,7 +392,7 @@ class TestTimeSymmetricFidelity:
     def test_odd_coefficients_vanish(self):
         from compulse import fidelity_series
 
-        seq = or_corrected("time_symmetric")
+        seq = build("or-timesym", PI)
         fid = fidelity_series(residual(seq.pulses, seq.target, OFF_RESONANCE, 8))
         for odd in (1, 3, 5, 7):
             assert abs(fid.coeff(0, odd)) < 1e-10
@@ -407,7 +400,7 @@ class TestTimeSymmetricFidelity:
     def test_or_first_has_fifth_order_term(self):
         from compulse import fidelity_series
 
-        seq = or_corrected("first_pi")
+        seq = build("or-first", PI)
         fid = fidelity_series(residual(seq.pulses, seq.target, OFF_RESONANCE, 8))
         assert abs(fid.coeff(0, 5)) > 1.0  # measured value is about 6.08
 
@@ -453,18 +446,38 @@ class TestErrorRotationProperty:
         assert cz == pytest.approx(cx, abs=1e-10)
 
 
+#: design error model of every catalog entry, kept apart from the builders
+DESIGN_MODELS = {
+    "simple": PULSE_LENGTH,
+    "bb1": PULSE_LENGTH,
+    "sk1": PULSE_LENGTH,
+    "sk2": PULSE_LENGTH,
+    "sk2rot": PULSE_LENGTH,
+    "sk3": PULSE_LENGTH,
+    "corpse": OFF_RESONANCE,
+    "short-corpse": OFF_RESONANCE,
+    "or-first": OFF_RESONANCE,
+    "or-first-general": OFF_RESONANCE,
+    "or-second-corpse": OFF_RESONANCE,
+    "or-second-xz": OFF_RESONANCE,
+    "or-timesym": OFF_RESONANCE,
+    "simultaneous": SIMULTANEOUS,
+}
+
+
 class TestCatalog:
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_builds(self, name):
         seq = build(name, PI)
         assert len(seq) >= 1
-        assert seq.model_kind == CATALOG_MODELS[name]
+        assert seq.model_kind == DESIGN_MODELS[name]
+        assert seq.name == name
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             build("bb2", PI)
 
-    @pytest.mark.parametrize("name", ["sk3", "or-first", "or-second-xz", "or-timesym", "simultaneous"])
+    @pytest.mark.parametrize("name", ["sk3", "or-first", "or-second-corpse", "or-second-xz", "or-timesym", "simultaneous"])
     def test_fixed_target_guard(self, name):
         with pytest.raises(ValueError):
             build(name, PI / 2)

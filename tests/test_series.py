@@ -20,7 +20,7 @@ from compulse import (
     residual,
     sequence_series,
 )
-from compulse.sequences import bb1, build, corpse, or_corrected, ple_pure_error, sk_corrected
+from compulse.sequences import bb1, build, corpse, ple_pure_error, short_corpse
 from compulse.su2 import OFF_RESONANCE, PULSE_LENGTH, SIMULTANEOUS
 
 from conftest import maxdiff
@@ -236,7 +236,7 @@ class TestResiduals:
 
     @pytest.mark.parametrize("theta", [PI / 4, PI / 2, PI, 3 * PI / 2])
     def test_second_order_error_after_first_order_fix(self, theta):
-        seq = sk_corrected(theta, 1)
+        seq = build("sk1", theta)
         a = residual(seq.pulses, seq.target, PULSE_LENGTH, degree=2)
         assert a.degree_pauli_norm(1) < 1e-10
         _, cx, cy, cz = a.pauli_term(2, 0)
@@ -245,7 +245,7 @@ class TestResiduals:
         assert abs(cx) < 1e-9 and abs(cy) < 1e-9
 
     def test_off_resonance_second_order_after_first_order_fix(self):
-        seq = or_corrected("first_pi")
+        seq = build("or-first", PI)
         a = residual(seq.pulses, seq.target, OFF_RESONANCE, degree=2)
         assert a.degree_pauli_norm(1) < 1e-10
         _, cx, cy, cz = a.pauli_term(0, 2)
@@ -305,13 +305,13 @@ class TestFidelitySeries:
         assert -fid.coeff(0, 4).real == pytest.approx(expected, rel=1e-6)
 
     def test_short_corpse_coefficient_closed_form(self):
-        seq = corpse(PI, "short")
+        seq = short_corpse(PI)
         fid = fidelity_series(residual(seq.pulses, seq.target, OFF_RESONANCE, 8))
         expected = (2 * math.sqrt(3) + PI) ** 2 / 32
         assert -fid.coeff(0, 4).real == pytest.approx(expected, rel=1e-6)
 
     def test_or_first_coefficient(self):
-        seq = or_corrected("first_pi")
+        seq = build("or-first", PI)
         fid = fidelity_series(residual(seq.pulses, seq.target, OFF_RESONANCE, 8))
         assert -fid.coeff(0, 4).real == pytest.approx((60 + PI**2) / 32, rel=1e-6)
 

@@ -245,13 +245,13 @@ class TestInverseQuality:
 
     @pytest.mark.parametrize("theta", [0.9, PI / 2, 2.0])
     def test_short_corpse_inverse_has_smaller_third_order(self, theta):
-        def pair_mag(preset):
-            fwd = corpse(theta, preset)
-            bwd = shift_phases(corpse(theta, preset), PI)
+        def pair_mag(name):
+            fwd = build(name, theta)
+            bwd = shift_phases(build(name, theta), PI)
             a = residual((*fwd.pulses, *bwd.pulses), Pulse(0.0, 0.0), "ore", 3)
             return a.degree_pauli_norm(3)
 
-        assert pair_mag("short") < pair_mag("corpse")
+        assert pair_mag("short-corpse") < pair_mag("corpse")
 
 
 class TestFidelitySurface:
