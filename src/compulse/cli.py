@@ -271,16 +271,22 @@ def cmd_sweep(args) -> int:
         return EXIT_USAGE
     model_kind = args.model or seq.model_kind
     grid = args.grid if args.grid is not None else _verify.geometric_grid()
-    lines = []
     if model_kind == SIMULTANEOUS:
-        lines.append("epsilon,f,infidelity")
-        table = _verify.infidelity_grid(seq.pulses, SIMULTANEOUS, grid[:, None], grid[None, :], seq.target)
-        for e, row in zip(grid, table):
+        e, f = grid[:, None], grid[None, :]
+    else:
+        e, f = (grid, 0.0) if _axis_for(model_kind) == "eps" else (0.0, grid)
+    try:
+        ys = _verify.infidelity_grid(seq.pulses, model_kind, e, f, seq.target)
+    except ValueError as exc:
+        # e.g. a flipped (negative-angle) pulse under an off-resonance model
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if model_kind == SIMULTANEOUS:
+        lines = ["epsilon,f,infidelity"]
+        for e, row in zip(grid, ys):
             lines.extend(f"{e:.12g},{f:.12g},{y:.12g}" for f, y in zip(grid, row))
     else:
-        lines.append("error_value,infidelity")
-        e, f = (grid, 0.0) if _axis_for(model_kind) == "eps" else (0.0, grid)
-        ys = _verify.infidelity_grid(seq.pulses, model_kind, e, f, seq.target)
+        lines = ["error_value,infidelity"]
         lines.extend(f"{x:.12g},{y:.12g}" for x, y in zip(grid, ys))
     try:
         _write_text(args.out, "\n".join(lines) + "\n")

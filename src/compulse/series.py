@@ -5,10 +5,14 @@ all exponent pairs with total degree i + j <= N; arithmetic never creates or
 reads terms beyond N, so the ring operations are exact on the retained
 coefficients.  A :class:`MatrixSeries` is an SU(2)-form 2x2 matrix of scalar
 series, held as its Cayley-Klein pair (alpha, beta), and is the symbolic
-counterpart of a propagator: expanding each pulse in closed
-axis-angle form and multiplying the per-pulse series gives the exact Taylor
-expansion of a composite sequence, from which residual error terms, their
-order, and the leading infidelity coefficient are read off directly.
+counterpart of a propagator.  Every pulse, under every error model, is one
+closed form in x = m^2 = (1 + eps)^2 + f^2: alpha and beta are built from
+cos(theta sqrt(x)/2) and sin(theta sqrt(x)/2)/sqrt(x), which are entire in x,
+so their Taylor coefficients follow from one recurrence and are summed over
+the powers of u = x - 1.  Multiplying the per-pulse series gives the exact
+Taylor expansion of a composite sequence, from which residual error terms,
+their order, and the leading infidelity coefficient are read off directly;
+the fidelity |Tr(A)/2| of a residual A is the series +-Re(alpha).
 
 This module is the oracle behind every order and coefficient claim; the
 ``verify`` module cross-checks it with plain matrix arithmetic.
@@ -22,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .su2 import (
+    MODEL_KINDS,
     OFF_RESONANCE,
     PULSE_LENGTH,
-    SIMULTANEOUS,
     ErrorModel,
     Pulse,
     adjoint,
@@ -157,45 +161,6 @@ class ScalarSeries:
         return f"ScalarSeries(N={self.degree}, {{{', '.join(nz[:8])}{'...' if len(nz) > 8 else ''}}})"
 
 
-def _taylor_table(fn: str, n: int) -> list[float]:
-    """Maclaurin coefficients of the named analytic function, orders 0..n."""
-    t = [0.0] * (n + 1)
-    if fn == "sin":
-        for k in range(1, n + 1, 2):
-            t[k] = (-1.0) ** ((k - 1) // 2) / math.factorial(k)
-    elif fn == "cos":
-        for k in range(0, n + 1, 2):
-            t[k] = (-1.0) ** (k // 2) / math.factorial(k)
-    elif fn == "sqrt1p":
-        b = 1.0
-        t[0] = 1.0
-        for k in range(1, n + 1):
-            b *= (1.5 - k) / k
-            t[k] = b
-    elif fn == "recip1p":
-        for k in range(n + 1):
-            t[k] = (-1.0) ** k
-    else:
-        raise ValueError(f"unknown analytic function {fn!r}")
-    return t
-
-
-def compose_analytic(g: ScalarSeries, fn: str) -> ScalarSeries:
-    """Taylor composition fn(g) for fn in {sin, cos, sqrt1p, recip1p}.
-
-    ``sqrt1p`` means sqrt(1 + g) and ``recip1p`` means 1/(1 + g).  The inner
-    series must have zero constant term, so the composition is a finite sum
-    of powers of g up to the truncation degree.
-    """
-    if g.c[0, 0] != 0.0:
-        raise ValueError("compose_analytic requires a zero constant term")
-    t = _taylor_table(fn, g.degree)
-    out = ScalarSeries.constant(t[g.degree], g.degree)
-    for k in range(g.degree - 1, -1, -1):
-        out = out * g + t[k]
-    return out
-
-
 class MatrixSeries:
     """SU(2)-form matrix series [[alpha, -conj(beta)], [beta, conj(alpha)]].
 
@@ -264,62 +229,73 @@ class MatrixSeries:
 
     def degree_pauli_norm(self, d: int) -> float:
         """Root-sum-square of the sigma components over all exponent pairs at degree d."""
-        total = 0.0
+        parts = []
         for i in range(d + 1):
             _, tx, ty, tz = self.pauli_term(i, d - i)
-            total += abs(tx) ** 2 + abs(ty) ** 2 + abs(tz) ** 2
-        return math.sqrt(total)
+            parts += (abs(tx), abs(ty), abs(tz))
+        return math.hypot(*parts)
 
 
 def _model_kind(model) -> str:
     kind = model.kind if isinstance(model, ErrorModel) else model
-    if kind not in (PULSE_LENGTH, OFF_RESONANCE, SIMULTANEOUS):
+    if kind not in MODEL_KINDS:
         raise ValueError(f"unknown error model kind {kind!r}")
     return kind
+
+
+def _m2_taylor(c: float, degree: int) -> np.ndarray:
+    """Taylor coefficients in u = x - 1 of C(x) = cos(c sqrt(x)) and S(x) = sin(c sqrt(x))/sqrt(x).
+
+    Both are entire in x and solve 4x g'' + p g' + c^2 g = 0, with p = 2 for C
+    and p = 6 for S, so their coefficients at x = 1 obey the three-term
+    recurrence (k+1)(k+2) 4 g[k+2] = -((k+1)(4k+p) g[k+1] + c^2 g[k]).
+    Returns the (2, degree + 1) array of C's and S's coefficients.
+    """
+    c2 = c * c
+    cs, sn = math.cos(c), math.sin(c)
+    out = []
+    for p, g0, g1 in ((2, cs, -0.5 * c * sn), (6, sn, 0.5 * (c * cs - sn))):
+        g = [g0, g1][: degree + 1]
+        for k in range(degree - 1):
+            g.append(-((k + 1) * (4 * k + p) * g[k + 1] + c2 * g[k]) / (4 * (k + 1) * (k + 2)))
+        out.append(g)
+    return np.array(out)
 
 
 def propagator_series(pulse: Pulse, model, degree: int = DEFAULT_DEGREE) -> MatrixSeries:
     """Exact truncated Taylor expansion of a single erroneous pulse.
 
-    The propagator is written in axis-angle form cos(a) I - i sin(a) n.sigma
-    with a = theta*m/2 and m = sqrt((1+eps)^2 + f^2) (the pieces that apply to
-    the chosen model), then a and n are expanded by series composition.  The
-    result evaluated at small error fractions matches the exact propagator up
-    to the first dropped degree.
+    With w = 1 + eps (ple, sim) or 1 (ore), f = 0 under ple, and
+    x = m^2 = w^2 + f^2 = 1 + u, the propagator's Cayley-Klein pair is
+    alpha = C(x) - i f S(x) and beta = w S(x) (sin(phi) - i cos(phi)), where
+    C(x) = cos(theta sqrt(x)/2) and S(x) = sin(theta sqrt(x)/2)/sqrt(x).  Both
+    are entire in x, so one recurrence gives their coefficients in u
+    (:func:`_m2_taylor`) and one sum over the powers of u expands them, for
+    every error model.  The result evaluated at small error fractions matches
+    the exact propagator up to the first dropped degree.
 
     ``model`` may be an :class:`ErrorModel` or one of the kind strings "ple",
     "ore", "sim".
     """
     kind = _model_kind(model)
-    half = pulse.angle / 2.0
-    if kind == PULSE_LENGTH:
-        h = ScalarSeries.variable("eps", degree)  # m - 1 with m = 1 + eps
-    else:
-        if pulse.flipped:
-            raise ValueError(
-                "off-resonance expansions are defined for nonnegative angles only; "
-                "this pulse was built from a negative-angle request"
-            )
-        f = ScalarSeries.variable("f", degree)
-        if kind == OFF_RESONANCE:
-            u = f * f
-        else:
-            e = ScalarSeries.variable("eps", degree)
-            u = e * 2.0 + e * e + f * f
-        h = compose_analytic(u, "sqrt1p") - 1.0  # m - 1, zero constant term
-    # cos and sin of a = half * (1 + h) by angle addition about half
-    cg = compose_analytic(h * half, "cos")
-    sg = compose_analytic(h * half, "sin")
-    c0, s0 = math.cos(half), math.sin(half)
-    ca = cg * c0 - sg * s0
-    sa = cg * s0 + sg * c0
-    # beta = -i (vx + i vy) with (vx, vy) = transverse * (cos(phi), sin(phi))
+    if kind != PULSE_LENGTH and pulse.flipped:
+        raise ValueError(
+            "off-resonance expansions are defined for nonnegative angles only; "
+            "this pulse was built from a negative-angle request"
+        )
+    coeffs = _m2_taylor(pulse.angle / 2.0, degree)
+    if not np.isfinite(coeffs).all():
+        raise ValueError(f"pulse angle {pulse.angle:g} is too large for a series expansion")
+    one = ScalarSeries.constant(1.0, degree)
+    w = one if kind == OFF_RESONANCE else ScalarSeries.variable("eps", degree) + 1.0
+    f = ScalarSeries(degree) if kind == PULSE_LENGTH else ScalarSeries.variable("f", degree)
+    u = w * w + f * f - 1.0
+    powers = [one]
+    for _ in range(degree):
+        powers.append(u * powers[-1])
+    c, s = (ScalarSeries(degree, g) for g in np.tensordot(coeffs, [p.c for p in powers], 1))
     phase = complex(math.sin(pulse.phase), -math.cos(pulse.phase))
-    if kind == PULSE_LENGTH:
-        return MatrixSeries(ca, sa * phase)
-    s_over_m = sa * compose_analytic(h, "recip1p")
-    transverse = s_over_m * (e + 1.0) if kind == SIMULTANEOUS else s_over_m
-    return MatrixSeries(ca - 1j * (s_over_m * f), transverse * phase)
+    return MatrixSeries(c - 1j * (f * s), (w * s) * phase)
 
 
 def sequence_series(pulses, model, degree: int = DEFAULT_DEGREE) -> MatrixSeries:
@@ -364,18 +340,15 @@ class ErrorTermReport:
 def fidelity_series(a: MatrixSeries) -> ScalarSeries:
     """Fidelity |Tr(A)/2| of a residual series, as a real-coefficient series.
 
-    Computed as sqrt(T * conj(T)) with T the half trace, the square root taken
-    by series composition about the unit-modulus constant term.  The constant
-    term must be within 1e-9 of unit modulus.
+    The half trace of an SU(2) series is the real series Re(alpha), so the
+    fidelity is sign(Re alpha_0) * Re(alpha), with no square root.  The
+    constant term must be within 1e-9 of unit modulus.
     """
     t = a.half_trace()
-    g = t * t.conjugate()
-    g0 = g.coeff(0, 0).real
-    if abs(math.sqrt(max(g0, 0.0)) - 1.0) > 1e-9:
+    t0 = t.c[0, 0].real
+    if abs(abs(t0) - 1.0) > 1e-9:
         raise ValueError("not a residual series: degree-0 half trace is not unit modulus")
-    h = g * (1.0 / g0) - 1.0
-    out = compose_analytic(h, "sqrt1p") * math.sqrt(g0)
-    return ScalarSeries(a.degree, out.c.real.astype(complex))
+    return t if t0 > 0.0 else -t
 
 
 def leading_error(a: MatrixSeries, zero_tol: float = 1e-10) -> ErrorTermReport:
@@ -384,6 +357,8 @@ def leading_error(a: MatrixSeries, zero_tol: float = 1e-10) -> ErrorTermReport:
     Also reports the leading infidelity term, which sits at twice the error
     order whenever the leading sigma vector is nonzero.
     """
+    if not (np.isfinite(a.alpha.c).all() and np.isfinite(a.beta.c).all()):
+        raise ValueError("not a residual series: non-finite coefficients")
     if a.degree_pauli_norm(0) > zero_tol or abs(abs(a.pauli_term(0, 0)[0]) - 1.0) > 1e-9:
         raise ValueError("not a residual series: degree-0 part is not a pure global phase")
     order = None

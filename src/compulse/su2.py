@@ -31,7 +31,7 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pulse:
     """One elementary rotation: angle and axis phase, both in radians.
 

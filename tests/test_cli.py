@@ -163,6 +163,17 @@ class TestVerify:
         assert err.value.code == EXIT_USAGE
         assert "1..16" in capsys.readouterr().err
 
+    def test_top_degree_accepted(self, capsys):
+        assert run_main("verify", "sk3", "--order", "4", "--degree", "16") == EXIT_OK
+        assert "series order:    4" in capsys.readouterr().out
+
+    def test_huge_theta_rejected(self, capsys):
+        # (theta/2)^2 overflows, so the series has no finite coefficients
+        assert run_main("verify", "simple", "--theta", "1e308", "--order", "1") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_sim_model_needs_axis(self, capsys):
         assert run_main("verify", "simultaneous", "--expect-order", "3") == EXIT_USAGE
 
@@ -220,6 +231,14 @@ class TestSweep:
         with pytest.raises(SystemExit) as err:
             run_main("sweep", "bb1", "--grid", "1:2")
         assert err.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("model", ["ore", "sim"])
+    def test_flipped_pulse_off_resonance(self, model, capsys):
+        # a negative target angle flips the pulse, which off-resonance models refuse
+        assert run_main("sweep", "simple", "--theta", "-90", "--model", model) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
 
     def test_non_finite_grid_end(self, capsys):
         with pytest.raises(SystemExit) as err:

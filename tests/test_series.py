@@ -13,7 +13,6 @@ from compulse import (
     Pulse,
     ScalarSeries,
     compose,
-    compose_analytic,
     fidelity_series,
     leading_error,
     propagator_series,
@@ -21,6 +20,7 @@ from compulse import (
     sequence_series,
 )
 from compulse.sequences import bb1, build, corpse, ple_pure_error, short_corpse
+from compulse.series import _m2_taylor
 from compulse.su2 import OFF_RESONANCE, PULSE_LENGTH, SIMULTANEOUS
 
 from conftest import maxdiff
@@ -90,52 +90,20 @@ class TestScalarArithmetic:
             assert prod.coeff(k, l) == pytest.approx(direct, abs=1e-12)
 
 
-class TestComposeAnalytic:
-    def test_requires_zero_constant(self):
-        with pytest.raises(ValueError):
-            compose_analytic(ScalarSeries.constant(1.0, 4), "cos")
-
-    def test_unknown_function(self):
-        with pytest.raises(ValueError):
-            compose_analytic(ScalarSeries(4), "tan")
-
-    def test_sqrt1p_of_f_squared(self):
-        f = f_var(4)
-        s = compose_analytic(f * f, "sqrt1p")
-        assert s.coeff(0, 0) == pytest.approx(1.0)
-        assert s.coeff(0, 2) == pytest.approx(0.5)
-        assert s.coeff(0, 4) == pytest.approx(-0.125)
-
-    def test_recip_of_sqrt_expansion(self):
-        # 1/sqrt(1+f^2) = 1 - f^2/2 + 3 f^4/8
-        f = f_var(4)
-        h = compose_analytic(f * f, "sqrt1p") - 1.0
-        s = compose_analytic(h, "recip1p")
-        assert s.coeff(0, 0) == pytest.approx(1.0)
-        assert s.coeff(0, 2) == pytest.approx(-0.5)
-        assert s.coeff(0, 4) == pytest.approx(0.375)
-
-    @pytest.mark.parametrize("theta", [0.7, PI / 2, PI, 2.5])
-    def test_cos_of_scaled_angle_vs_mpmath(self, theta, mp):
-        # eps-expansion of cos(theta (1+eps) / 2) via angle addition
-        n = 6
-        g = eps_var(n) * (theta / 2.0)
-        series = compose_analytic(g, "cos") * math.cos(theta / 2) - compose_analytic(
-            g, "sin"
-        ) * math.sin(theta / 2)
-        oracle = mp.taylor(lambda e: mp.cos(theta * (1 + e) / 2), 0, n)
-        for k in range(n + 1):
-            assert series.coeff(k, 0).real == pytest.approx(float(oracle[k]), abs=1e-10)
-
-    def test_recip_vs_mpmath(self, mp):
-        # 1/sqrt(1+f^2) coefficients by numeric differentiation
-        n = 6
-        f = f_var(n)
-        h = compose_analytic(f * f, "sqrt1p") - 1.0
-        s = compose_analytic(h, "recip1p")
-        oracle = mp.taylor(lambda x: 1 / mp.sqrt(1 + x**2), 0, n)
-        for k in range(n + 1):
-            assert s.coeff(0, k).real == pytest.approx(float(oracle[k]), abs=1e-10)
+class TestClosedFormCoefficients:
+    @pytest.mark.parametrize("c", [0.0, 0.7, PI, 2 * PI, 4 * PI, 31.4])
+    def test_recurrence_vs_mpmath(self, c, mp):
+        # Taylor coefficients at x = 1 of cos(c sqrt(x)) and sin(c sqrt(x))/sqrt(x)
+        n = 16
+        cos_coeffs, sinc_coeffs = _m2_taylor(c, n)
+        for got, fn in (
+            (cos_coeffs, lambda x: mp.cos(c * mp.sqrt(x))),
+            (sinc_coeffs, lambda x: mp.sin(c * mp.sqrt(x)) / mp.sqrt(x)),
+        ):
+            oracle = [float(v) for v in mp.taylor(fn, 1, n)]
+            tol = 1e-15 * max(1.0, max(abs(v) for v in oracle))
+            assert len(got) == n + 1
+            assert max(abs(g - v) for g, v in zip(got, oracle)) <= tol
 
 
 class TestPropagatorSeries:
@@ -160,6 +128,23 @@ class TestPropagatorSeries:
         _, cx, cy, cz = a.pauli_term(1, 0)
         assert cx == pytest.approx(-1j * PI / 2, abs=1e-12)
         assert abs(cy) < 1e-12 and abs(cz) < 1e-12
+
+    @pytest.mark.parametrize("theta", [0.7, PI / 2, PI, 2.5])
+    def test_ple_alpha_vs_mpmath(self, theta, mp):
+        # alpha of a ple pulse is the eps-expansion of cos(theta (1+eps) / 2)
+        n = 6
+        ms = propagator_series(Pulse(theta, 0.3), PULSE_LENGTH, n)
+        oracle = mp.taylor(lambda e: mp.cos(theta * (1 + e) / 2), 0, n)
+        for k in range(n + 1):
+            assert ms.alpha.coeff(k, 0) == pytest.approx(float(oracle[k]), abs=1e-14)
+
+    def test_ore_beta_vs_mpmath(self, mp):
+        # at phase pi/2, beta of an ore pulse is sin(theta m/2)/m, m = sqrt(1+f^2)
+        n, theta = 6, 2.5
+        ms = propagator_series(Pulse(theta, PI / 2), OFF_RESONANCE, n)
+        oracle = mp.taylor(lambda x: mp.sin(theta * mp.sqrt(1 + x**2) / 2) / mp.sqrt(1 + x**2), 0, n)
+        for k in range(n + 1):
+            assert ms.beta.coeff(0, k).real == pytest.approx(float(oracle[k]), abs=1e-14)
 
     def test_flipped_pulse_rejected_off_resonance(self):
         with pytest.raises(ValueError):
@@ -211,6 +196,12 @@ class TestMatrixSeries:
         for i in range(2):
             for j in range(2):
                 assert maxdiff(low.entry(i, j).c * tri, high.entry(i, j).c[:5, :5] * tri) < 1e-14
+
+    def test_degree_pauli_norm_does_not_overflow(self):
+        a = MatrixSeries.identity(4)
+        a.beta.c[1, 1] = 3e200
+        a.beta.c[0, 2] = 4e200j
+        assert a.degree_pauli_norm(2) == pytest.approx(5e200)
 
     def test_from_matrix_rejects_non_cayley_klein_form(self):
         with pytest.raises(ValueError):
@@ -283,6 +274,12 @@ class TestLeadingError:
         assert rep.order is None
         assert rep.pauli is None
         assert rep.infidelity_coefficient is None
+
+    def test_rejects_non_finite_coefficients(self):
+        a = MatrixSeries.identity(4)
+        a.beta.c[3, 0] = math.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            leading_error(a)
 
     def test_rejects_non_residual(self):
         ms = propagator_series(Pulse(1.0, 0.0), PULSE_LENGTH, 4)  # not unit at 0
