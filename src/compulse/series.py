@@ -11,8 +11,9 @@ cos(theta sqrt(x)/2) and sin(theta sqrt(x)/2)/sqrt(x), which are entire in x,
 so their Taylor coefficients follow from one recurrence and are summed over
 the powers of u = x - 1.  Multiplying the per-pulse series gives the exact
 Taylor expansion of a composite sequence, from which residual error terms,
-their order, and the leading infidelity coefficient are read off directly;
-the fidelity |Tr(A)/2| of a residual A is the series +-Re(alpha).
+their order, and the leading infidelity coefficient (|c_n|^2 / 2 for the
+leading sigma coefficient c_n) are read off directly; the fidelity |Tr(A)/2|
+of a residual A is the series +-Re(alpha).
 
 This module is the oracle behind every order and coefficient claim; the
 ``verify`` module cross-checks it with plain matrix arithmetic.
@@ -141,10 +142,6 @@ class ScalarSeries:
         if i + j > self.degree:
             raise ValueError(f"exponent pair ({i}, {j}) exceeds degree {self.degree}")
         return complex(self.c[i, j])
-
-    def degree_terms(self, d: int) -> list[tuple[int, int, complex]]:
-        """All (i, j, coefficient) with i + j == d."""
-        return [(i, d - i, complex(self.c[i, d - i])) for i in range(d + 1)]
 
     def __call__(self, eps: float, f: float = 0.0) -> complex:
         pe = eps ** np.arange(self.degree + 1)
@@ -354,8 +351,12 @@ def fidelity_series(a: MatrixSeries) -> ScalarSeries:
 def leading_error(a: MatrixSeries, zero_tol: float = 1e-10) -> ErrorTermReport:
     """Locate the lowest-degree nonzero sigma component of a residual series.
 
-    Also reports the leading infidelity term, which sits at twice the error
-    order whenever the leading sigma vector is nonzero.
+    Also reports the leading infidelity term.  With the sigma part c_n x^n +
+    ... (summed over the exponent pairs of each degree), the fidelity is
+    sqrt(1 - |c|^2), so the infidelity starts as |c_n|^2 / 2 x^(2n).  Its
+    degree is None when 2n exceeds the series degree.  Taken from c_n rather
+    than from the fidelity series, the coefficient does not sink into
+    rounding noise when c_n is small.
     """
     if not (np.isfinite(a.alpha.c).all() and np.isfinite(a.beta.c).all()):
         raise ValueError("not a residual series: non-finite coefficients")
@@ -372,13 +373,7 @@ def leading_error(a: MatrixSeries, zero_tol: float = 1e-10) -> ErrorTermReport:
     if order is None:
         return ErrorTermReport(None, None, None, None, a.degree)
 
-    fid = fidelity_series(a)
-    infid_degree = None
-    infid_coeff = None
-    for d in range(1, a.degree + 1):
-        total = sum(abs(v) for _, _, v in fid.degree_terms(d))
-        if total > zero_tol:
-            infid_degree = d
-            infid_coeff = -sum(v.real for _, _, v in fid.degree_terms(d))
-            break
-    return ErrorTermReport(order, pauli, infid_degree, infid_coeff, a.degree)
+    if 2 * order > a.degree:
+        return ErrorTermReport(order, pauli, None, None, a.degree)
+    infid_coeff = sum(abs(c) ** 2 for c in pauli) / 2.0
+    return ErrorTermReport(order, pauli, 2 * order, infid_coeff, a.degree)

@@ -119,13 +119,14 @@ class PauliDecomposition:
         )
 
 
-def _axis_angle(theta, phi: float, w, f) -> np.ndarray:
+def _axis_angle(theta, phi, w, f) -> np.ndarray:
     """exp[-i theta (w (sigma_x cos(phi) + sigma_y sin(phi)) + f sigma_z) / 2].
 
     The closed form is c I - i s (w cos(phi) sigma_x + w sin(phi) sigma_y +
     f sigma_z) with m = |(w, f)|, c = cos(theta m / 2), s = sin(theta m / 2) / m.
-    ``theta``, ``w`` and ``f`` may be arrays; the result has their broadcast
-    shape followed by (2, 2).
+    ``theta``, ``phi``, ``w`` and ``f`` may be arrays; the result has their
+    broadcast shape followed by (2, 2).  A float phase keeps ``math.cos`` and
+    ``math.sin``; an array phase takes their numpy forms.
 
     Complex arguments continue the form analytically, with m = sqrt(w^2 +
     f^2); the branch of the root does not matter, because c and s are even
@@ -139,19 +140,25 @@ def _axis_angle(theta, phi: float, w, f) -> np.ndarray:
     a = theta * m / 2.0
     c = np.cos(a)
     s = np.sin(a) / m
-    sx = s * (w * math.cos(phi))
-    sy = s * (w * math.sin(phi))
+    if isinstance(phi, np.ndarray):
+        cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    else:
+        cos_phi, sin_phi = math.cos(phi), math.sin(phi)
+    sx = s * (w * cos_phi)
+    sy = s * (w * sin_phi)
     sz = s * f
+    # sx carries the broadcast shape of every argument
+    shape = np.shape(sx)
     if c.dtype.kind == "c":
         isx, isz = 1j * sx, 1j * sz
-        out = np.empty(np.shape(a) + (2, 2), dtype=complex)
+        out = np.empty(shape + (2, 2), dtype=complex)
         out[..., 0, 0] = c - isz
         out[..., 0, 1] = -sy - isx
         out[..., 1, 0] = sy - isx
         out[..., 1, 1] = c + isz
         return out
     # real and imaginary parts of [[c - i sz, -sy - i sx], [sy - i sx, c + i sz]]
-    out = np.empty(np.shape(a) + (2, 2, 2))
+    out = np.empty(shape + (2, 2, 2))
     out[..., 0, 0, 0] = c
     out[..., 0, 0, 1] = -sz
     out[..., 0, 1, 0] = -sy

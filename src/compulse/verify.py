@@ -9,13 +9,16 @@ taken from the Pauli (sigma) part of the residual unitary rather than from
 precision: results are the same on every platform, whatever its
 ``longdouble``.  The degree-3 magnitudes of :func:`crossover_scan` are Taylor
 coefficients read off the same residual, composed at complex pulse-length
-fractions on a circle and integrated by a discrete Cauchy formula.
+fractions on a circle and integrated by a discrete Cauchy formula.  The whole
+angle grid of one variant is a single batched composition; the bisection for
+the crossover then evaluates one angle per step.
 Agreement between the two routes is what certifies a sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,11 +46,21 @@ def geometric_grid(lo: float = GRID_MIN, hi: float = GRID_MAX, n: int = GRID_POI
     return np.geomspace(lo, hi, n)
 
 
-def _residual_grid(pulses, kind: str, eps, f, target: Pulse) -> np.ndarray:
+class _PulseColumn(NamedTuple):
+    """Pulse position j of n sequences at once: angles and phases as (n, 1)
+    columns, so that they broadcast against a 1-D grid of error fractions."""
+
+    angle: np.ndarray
+    phase: np.ndarray
+    flipped: bool
+
+
+def _residual_grid(pulses, kind: str, eps, f, u: np.ndarray) -> np.ndarray:
     """W = V U^dag at every point of the broadcast grid of (eps, f).
 
     V is the sequence composed under error model ``kind``, U the ideal
-    target; W has the broadcast shape of the fractions ``kind`` uses,
+    target matrix, or a stack of them that broadcasts against V.  W has the
+    broadcast shape of the pulse parameters and the fractions ``kind`` uses,
     followed by (2, 2).
     """
     w = None
@@ -56,7 +69,7 @@ def _residual_grid(pulses, kind: str, eps, f, target: Pulse) -> np.ndarray:
         w = m if w is None else m @ w
     if w is None:
         raise ValueError("cannot compose an empty pulse sequence")
-    return w @ rotation(target.angle, target.phase).conj().T
+    return w @ u.conj().mT
 
 
 def infidelity_grid(pulses, kind: str, eps, f, target: Pulse) -> np.ndarray:
@@ -67,7 +80,7 @@ def infidelity_grid(pulses, kind: str, eps, f, target: Pulse) -> np.ndarray:
     unitary W but involves no cancellation, so float64 resolves it far below
     1e-16.
     """
-    w = _residual_grid(pulses, kind, eps, f, target)
+    w = _residual_grid(pulses, kind, eps, f, rotation(target.angle, target.phase))
     a0 = np.abs(w[..., 0, 0] + w[..., 1, 1]) / 2.0
     az = np.abs(w[..., 0, 0] - w[..., 1, 1]) / 2.0
     # |a_x|^2 + |a_y|^2 = (|w01|^2 + |w10|^2) / 2
@@ -214,24 +227,49 @@ def taylor_coefficients(values: np.ndarray) -> np.ndarray:
     return values @ _CAUCHY
 
 
-def _degree3_magnitude(name: str, theta: float) -> float:
-    """Norm of the degree-3 sigma coefficient of ``name``'s pulse-length residual."""
-    seq = build(name, theta)
-    w = _residual_grid(seq.pulses, PULSE_LENGTH, CONTOUR_EPS, 0.0, seq.target)
+def _degree3_magnitudes(name: str, thetas) -> np.ndarray:
+    """Norms of the degree-3 sigma coefficient of ``name``'s pulse-length
+    residual, one per angle of ``thetas``.
+
+    Several angles are composed together: pulse position j of every sequence
+    enters the pulse loop as one :class:`_PulseColumn` against the contour,
+    and the targets as an (n, 1, 2, 2) stack.  A single angle composes its
+    sequence's own pulses, which is faster for one point.
+    """
+    seqs = [build(name, theta) for theta in thetas]
+    if len(seqs) == 1:
+        pulses, u = seqs[0].pulses, rotation(seqs[0].target.angle, seqs[0].target.phase)
+    else:
+        if len({len(seq.pulses) for seq in seqs}) > 1:
+            raise ValueError(f"{name} has a different pulse count at different angles of the angle grid")
+        # (n, pulses, 3): angle, phase and flipped flag of every pulse
+        table = np.array([[(p.angle, p.phase, p.flipped) for p in seq.pulses] for seq in seqs])
+        flipped = table[..., 2].any(axis=0)
+        pulses = [
+            _PulseColumn(table[:, j, 0, None], table[:, j, 1, None], bool(flipped[j]))
+            for j in range(table.shape[1])
+        ]
+        u = np.stack([rotation(seq.target.angle, seq.target.phase) for seq in seqs])[:, None]
+    w = _residual_grid(pulses, PULSE_LENGTH, CONTOUR_EPS, 0.0, u)
     # sigma parts of W without conj, so that they stay analytic in eps
-    w01, w10 = w[:, 0, 1], w[:, 1, 0]
-    sigma = np.stack([w01 + w10, 1j * (w01 - w10), w[:, 0, 0] - w[:, 1, 1]]) / 2.0
-    norms = np.sqrt((np.abs(taylor_coefficients(sigma)) ** 2).sum(axis=0))
-    if norms[1] > 1e-10 or norms[2] > 1e-10:
-        raise ValueError(f"{name} is not second-order correct at theta = {theta}")
-    return float(norms[3])
+    w01, w10 = w[..., 0, 1], w[..., 1, 0]
+    sigma = np.stack([w01 + w10, 1j * (w01 - w10), w[..., 0, 0] - w[..., 1, 1]]) / 2.0
+    # one (3 n, N) product: a stacked one takes another BLAS kernel and rounds differently
+    coeffs = taylor_coefficients(sigma.reshape(-1, CONTOUR_POINTS)).reshape(3, len(seqs), 4)
+    norms = np.sqrt((np.abs(coeffs) ** 2).sum(axis=0))
+    bad = (norms[:, 1] > 1e-10) | (norms[:, 2] > 1e-10)
+    if bad.any():
+        raise ValueError(f"{name} is not second-order correct at theta = {thetas[int(np.argmax(bad))]}")
+    # a copy, not a view that would keep all of norms alive in the result
+    return norms[:, 3].copy()
 
 
 def crossover_scan(names, thetas) -> CrossoverResult:
     """Third-order error magnitude of second-order pulse-length sequences.
 
     Evaluates the degree-3 sigma-vector norm of every named variant over the
-    angle grid and locates (by bisection) the angle where the first variant's
+    angle grid, one batched composition per variant, and locates (by
+    bisection, one angle per step) the angle where the first variant's
     magnitude crosses the second's.  A missing sign change is flagged rather
     than guessed.
     """
@@ -239,7 +277,11 @@ def crossover_scan(names, thetas) -> CrossoverResult:
     if len(names) < 2:
         raise ValueError("need at least two variants to compare")
     thetas = np.asarray(thetas, dtype=float)
-    mags = {name: np.array([_degree3_magnitude(name, t) for t in thetas]) for name in names}
+    if thetas.ndim != 1 or thetas.size == 0:
+        raise ValueError(f"the angle grid must be a non-empty 1-D array, got shape {thetas.shape}")
+    if not np.isfinite(thetas).all():
+        raise ValueError("the angle grid must hold finite angles only")
+    mags = {name: _degree3_magnitudes(name, thetas) for name in names}
 
     a, b = names[0], names[1]
     diff = mags[a] - mags[b]
@@ -255,7 +297,7 @@ def crossover_scan(names, thetas) -> CrossoverResult:
                 mid = 0.5 * (lo + hi)
                 if mid == lo or mid == hi:
                     break
-                dm = _degree3_magnitude(a, mid) - _degree3_magnitude(b, mid)
+                dm = _degree3_magnitudes(a, (mid,))[0] - _degree3_magnitudes(b, (mid,))[0]
                 if dm == 0.0:
                     lo = hi = mid
                     break

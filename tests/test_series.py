@@ -286,6 +286,34 @@ class TestLeadingError:
         with pytest.raises(ValueError):
             leading_error(ms)
 
+    # mpmath (40 digits) composition of the same float pulses: |c_2|^2 / 2
+    @pytest.mark.parametrize("name, want", [("sk2", 2.8421710528736e-14), ("sk2rot", 2.84217104387736e-14)])
+    @pytest.mark.parametrize("degree", [8, 12, 16])
+    def test_small_leading_term_at_720(self, name, want, degree):
+        # the degree-2 sigma norm is ~2.4e-7, so the degree-4 infidelity term
+        # lies below zero_tol; it must still be reported, not rounding noise
+        seq = build(name, 4 * PI)
+        rep = leading_error(residual(seq.pulses, seq.target, PULSE_LENGTH, degree))
+        assert rep.order == 2
+        assert rep.infidelity_degree == 4
+        assert rep.infidelity_coefficient == pytest.approx(want, rel=1e-6)
+
+    def test_infidelity_degree_beyond_series_degree(self):
+        seq = bb1(PI)
+        rep = leading_error(residual(seq.pulses, seq.target, PULSE_LENGTH, 5))
+        assert rep.order == 3
+        assert rep.infidelity_degree is None
+        assert rep.infidelity_coefficient is None
+
+    @pytest.mark.parametrize("name", ["bb1", "sk2rot", "corpse", "or-second-xz"])
+    def test_coefficient_matches_fidelity_series(self, name):
+        seq = build(name, PI)
+        res = residual(seq.pulses, seq.target, seq.model_kind, 8)
+        rep = leading_error(res)
+        i, j = (rep.infidelity_degree, 0) if seq.model_kind == PULSE_LENGTH else (0, rep.infidelity_degree)
+        want = -fidelity_series(res).coeff(i, j).real
+        assert rep.infidelity_coefficient == pytest.approx(want, rel=1e-11)
+
 
 class TestFidelitySeries:
     def test_bb1_coefficient(self):

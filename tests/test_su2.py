@@ -18,7 +18,7 @@ from compulse import (
     rotation,
 )
 from compulse.sequences import bb1
-from compulse.su2 import pulse_matrix
+from compulse.su2 import _axis_angle, pulse_matrix
 
 from conftest import ID2, SX, SY, SZ, maxdiff, pauli_vec, taylor_expm
 
@@ -294,3 +294,36 @@ class TestPauliDecompose:
         assert abs(d.cx - cx) < 1e-14
         assert abs(d.cy - cy) < 1e-14
         assert abs(d.cz - cz) < 1e-14
+
+
+class TestAxisAngleBatch:
+    """A column of phases against a grid gives each scalar-phase call bit for bit."""
+
+    PHASE_COLUMN = np.array([0.0, 0.3, 1.1, math.pi / 2, 2.9, 4.0, 5.5, 2 * math.pi - 1e-9])[:, None]
+    ANGLE_COLUMN = np.array([0.5, math.pi, 2.2, 5.0, 0.01, 4 * math.pi, 1.3, 3.0])[:, None]
+
+    def _assert_rows_equal(self, batch, scalar_call):
+        for i, phi in enumerate(self.PHASE_COLUMN[:, 0]):
+            assert batch[i].tobytes() == scalar_call(i, float(phi)).tobytes()
+
+    def test_real_path(self):
+        eps = np.geomspace(1e-4, 1e-1, 7)
+        batch = _axis_angle(self.ANGLE_COLUMN * (1.0 + eps), self.PHASE_COLUMN, 1.0 + eps, 0.02)
+        assert batch.shape == (8, 7, 2, 2)
+        self._assert_rows_equal(
+            batch, lambda i, phi: _axis_angle(self.ANGLE_COLUMN[i, 0] * (1.0 + eps), phi, 1.0 + eps, 0.02)
+        )
+
+    def test_complex_contour_path(self):
+        from compulse.verify import CONTOUR_EPS
+
+        batch = _axis_angle(self.ANGLE_COLUMN * (1.0 + CONTOUR_EPS), self.PHASE_COLUMN, 1.0, 0.0)
+        assert batch.dtype == complex and batch.shape == (8, 32, 2, 2)
+        self._assert_rows_equal(
+            batch, lambda i, phi: _axis_angle(self.ANGLE_COLUMN[i, 0] * (1.0 + CONTOUR_EPS), phi, 1.0, 0.0)
+        )
+
+    def test_phase_column_broadcasts_against_scalar_angle(self):
+        batch = _axis_angle(1.7, self.PHASE_COLUMN, 1.0, 0.0)
+        assert batch.shape == (8, 1, 2, 2)
+        self._assert_rows_equal(batch, lambda i, phi: _axis_angle(1.7, phi, 1.0, 0.0)[None])

@@ -9,9 +9,11 @@ import pytest
 import compulse.verify
 from compulse import Pulse, residual
 from compulse.sequences import build, corpse, ple_pure_error, shift_phases
-from compulse.su2 import pulse_matrix
+from compulse.su2 import pulse_matrix, rotation
 from compulse.verify import (
     CONTOUR_EPS,
+    _degree3_magnitudes,
+    _residual_grid,
     crossover_scan,
     estimate_order,
     fidelity_surface,
@@ -163,6 +165,63 @@ class TestCrossoverScan:
         scan = crossover_scan(["bb1", "sk2rot"], np.radians(np.linspace(10.0, 180.0, 86)))
         assert not scan.flagged
         assert scan.crossover_theta == pytest.approx(2.9441399304550355, rel=0.0, abs=1e-12)
+
+    def test_readme_range_crossover_is_exact(self):
+        scan = crossover_scan(["bb1", "sk2rot"], np.radians(np.linspace(10.0, 180.0, 86)))
+        assert scan.crossover_theta == 2.9441399304550355
+
+    def test_magnitudes_own_their_data(self):
+        # a view would keep the whole per-degree norm table alive in the result
+        for thetas in (np.radians([120.0]), np.radians(np.linspace(90.0, 180.0, 5))):
+            scan = crossover_scan(["bb1", "sk2rot", "sk2"], thetas)
+            for name, mags in scan.magnitudes.items():
+                assert mags.base is None, name
+                assert mags.shape == thetas.shape
+
+    @pytest.mark.parametrize(
+        "thetas",
+        [[], [[1.0, 2.0], [2.5, 3.0]], 2.0, [1.0, math.nan], [1.0, math.inf]],
+        ids=["empty", "2-d", "scalar", "nan", "inf"],
+    )
+    def test_rejects_malformed_angle_grid(self, thetas):
+        with pytest.raises(ValueError, match="angle grid"):
+            crossover_scan(["bb1", "sk2rot"], thetas)
+
+    def test_rejects_pulse_count_changing_over_the_grid(self, monkeypatch):
+        def build_by_angle(name, theta):
+            return build("bb1" if theta < 2.0 else "sk2rot", theta)
+
+        monkeypatch.setattr(compulse.verify, "build", build_by_angle)
+        with pytest.raises(ValueError, match="pulse count .* angle grid"):
+            crossover_scan(["bb1", "sk2rot"], [1.0, 2.5, 3.0])
+
+
+def _one_angle_magnitude(name, theta):
+    """Degree-3 sigma norm of one sequence composed from its own pulses."""
+    seq = build(name, theta)
+    w = _residual_grid(seq.pulses, "ple", CONTOUR_EPS, 0.0, rotation(seq.target.angle, seq.target.phase))
+    w01, w10 = w[:, 0, 1], w[:, 1, 0]
+    sigma = np.stack([w01 + w10, 1j * (w01 - w10), w[:, 0, 0] - w[:, 1, 1]]) / 2.0
+    return np.sqrt((np.abs(taylor_coefficients(sigma)) ** 2).sum(axis=0))[3]
+
+
+class TestBatchedMagnitudes:
+    """One composition over the whole angle grid gives the per-angle values bit for bit."""
+
+    @pytest.mark.parametrize("name", ["bb1", "sk2", "sk2rot"])
+    @pytest.mark.parametrize(
+        "thetas",
+        [np.radians([168.7]), np.radians([37.0, 180.0]), np.radians(np.linspace(140.0, 180.0, 24))],
+        ids=["1", "2", "24"],
+    )
+    def test_byte_equal_to_per_angle_composition(self, name, thetas):
+        want = np.array([_one_angle_magnitude(name, t) for t in thetas])
+        got = _degree3_magnitudes(name, thetas)
+        assert got.tobytes() == want.tobytes()
+
+    def test_rejects_uncorrected_angle_in_batch(self):
+        with pytest.raises(ValueError, match="not second-order correct"):
+            _degree3_magnitudes("simple", np.radians([90.0, 180.0]))
 
 
 class TestContour:
