@@ -48,11 +48,11 @@ def geometric_grid(lo: float = GRID_MIN, hi: float = GRID_MAX, n: int = GRID_POI
 
 class _PulseColumn(NamedTuple):
     """Pulse position j of n sequences at once: angles and phases as (n, 1)
-    columns, so that they broadcast against a 1-D grid of error fractions."""
+    columns, so that they broadcast against a 1-D grid of error fractions.
+    Only the pulse-length model, which reads nothing else, composes these."""
 
     angle: np.ndarray
     phase: np.ndarray
-    flipped: bool
 
 
 def _residual_grid(pulses, kind: str, eps, f, u: np.ndarray) -> np.ndarray:
@@ -69,7 +69,7 @@ def _residual_grid(pulses, kind: str, eps, f, u: np.ndarray) -> np.ndarray:
         w = m if w is None else m @ w
     if w is None:
         raise ValueError("cannot compose an empty pulse sequence")
-    return w @ u.conj().mT
+    return w @ np.swapaxes(u.conj(), -1, -2)
 
 
 def infidelity_grid(pulses, kind: str, eps, f, target: Pulse) -> np.ndarray:
@@ -242,13 +242,9 @@ def _degree3_magnitudes(name: str, thetas) -> np.ndarray:
     else:
         if len({len(seq.pulses) for seq in seqs}) > 1:
             raise ValueError(f"{name} has a different pulse count at different angles of the angle grid")
-        # (n, pulses, 3): angle, phase and flipped flag of every pulse
-        table = np.array([[(p.angle, p.phase, p.flipped) for p in seq.pulses] for seq in seqs])
-        flipped = table[..., 2].any(axis=0)
-        pulses = [
-            _PulseColumn(table[:, j, 0, None], table[:, j, 1, None], bool(flipped[j]))
-            for j in range(table.shape[1])
-        ]
+        # (n, pulses, 2): angle and phase of every pulse
+        table = np.array([[(p.angle, p.phase) for p in seq.pulses] for seq in seqs])
+        pulses = [_PulseColumn(table[:, j, 0, None], table[:, j, 1, None]) for j in range(table.shape[1])]
         u = np.stack([rotation(seq.target.angle, seq.target.phase) for seq in seqs])[:, None]
     w = _residual_grid(pulses, PULSE_LENGTH, CONTOUR_EPS, 0.0, u)
     # sigma parts of W without conj, so that they stay analytic in eps

@@ -287,13 +287,20 @@ class TestLeadingError:
             leading_error(ms)
 
     # mpmath (40 digits) composition of the same float pulses: |c_2|^2 / 2
-    @pytest.mark.parametrize("name, want", [("sk2", 2.8421710528736e-14), ("sk2rot", 2.84217104387736e-14)])
+    @pytest.mark.parametrize("name, want", [("sk2", 2.8523331079333e-14), ("sk2rot", 2.85233309892102e-14)])
     @pytest.mark.parametrize("degree", [8, 12, 16])
     def test_small_leading_term_at_720(self, name, want, degree):
+        # sk2 and sk2rot at 4 pi with phi2 = pi/2 - 5.5e-5 instead of pi/2:
         # the degree-2 sigma norm is ~2.4e-7, so the degree-4 infidelity term
         # lies below zero_tol; it must still be reported, not rounding noise
-        seq = build(name, 4 * PI)
-        rep = leading_error(residual(seq.pulses, seq.target, PULSE_LENGTH, degree))
+        phi2 = PI / 2 - 5.5e-5
+        pulses = [Pulse(4 * PI, 0.0), *ple_pure_error("x1", PI).pulses]
+        if name == "sk2":
+            pulses += ple_pure_error("z2prime", phi2).pulses
+        else:
+            x2 = ple_pure_error("x2prime", phi2).pulses
+            pulses += [Pulse(PI / 2, PI / 2), *x2, Pulse(PI / 2, 3 * PI / 2)]
+        rep = leading_error(residual(pulses, Pulse(4 * PI, 0.0), PULSE_LENGTH, degree))
         assert rep.order == 2
         assert rep.infidelity_degree == 4
         assert rep.infidelity_coefficient == pytest.approx(want, rel=1e-6)
