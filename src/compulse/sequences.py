@@ -12,7 +12,9 @@ exact inverse of V(theta, phi) under a pure amplitude error, so pure error
 terms of any order can be assembled from 2pi rotations.  Off-resonance
 correction sequences (CORPSE and the sequences built from 90/180 degree
 blocks) only have approximate inverses available, which restricts how error
-terms may be combined and rotated.
+terms may be combined and rotated.  Every correction phase is closed form,
+sk3's included; its one check reads the residual off a contour in ``su2``, so
+nothing here uses the series engine that certifies these sequences.
 
 ``CATALOG`` maps each sequence name to its one builder, ``theta ->
 PulseSequence``, and the sequence it returns carries that name.
@@ -29,8 +31,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
-from . import series as _series
-from .su2 import OFF_RESONANCE, PULSE_LENGTH, SIMULTANEOUS, Pulse
+from .su2 import OFF_RESONANCE, PULSE_LENGTH, SIMULTANEOUS, Pulse, contour_sigma_norms, rotation
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -206,8 +207,9 @@ def _phi1(theta: float) -> float:
 
 
 def _phi2(theta: float) -> float:
-    # positive-sign solution of 8 pi^2 cos^2(phi2) = theta*sqrt(16 pi^2 - theta^2)/8
-    arg = (16.0 * PI**2 * theta**2 - theta**4) ** 0.25 / (8.0 * PI)
+    # positive-sign solution of 8 pi^2 cos^2(phi2) = theta*sqrt(16 pi^2 - theta^2)/8;
+    # the factored radicand keeps its zero at theta = 4 pi exact
+    arg = (theta * theta * (4.0 * PI - theta) * (4.0 * PI + theta)) ** 0.25 / (8.0 * PI)
     return math.acos(arg)
 
 
@@ -272,27 +274,21 @@ def solve_third_order(tol: float = 1e-12) -> tuple[float, float]:
     """Phase pair (phi3, delta) cancelling the third-order error of bb1(pi).
 
     The residual of the broadband 180 sequence has no degree-1 or degree-2
-    sigma terms, and its degree-3 sigma vector lies in the xy plane.  X3(phi3)
-    with every phase shifted by delta has no degree-1 or degree-2 terms
-    either, so appending it adds exactly
+    sigma terms, and its degree-3 sigma vector is i pi^3 (-5 sigma_x +
+    sqrt(15) sigma_y) / 64.  X3(phi3) with every phase shifted by delta has
+    no degree-1 or degree-2 terms either, so appending it adds exactly
     -i 32 pi^3 cos^3(phi3) (cos(delta) sigma_x + sin(delta) sigma_y)
-    at degree 3.  The root is read off bb1's degree-3 vector in closed form,
-    on the branch with phi3 in (0, pi/2), and checked with one more residual.
-    If that check does not fall below ``tol``, SolverFailure carries
-    ``best = (phi3, delta, |residual|)``.
+    at degree 3.  The root is therefore cos^3(phi3) = sqrt(40) / 2048, on the
+    branch with phi3 in (0, pi/2), and delta = atan2(sqrt(15), -5).  It is
+    checked on the contour: the sigma norms of the corrected residual at
+    degrees 1, 2 and 3, read off 64 nodes, where 32 would alias ~4e-11 into
+    degree 3.  If the largest does not fall below ``tol``, SolverFailure
+    carries ``best = (phi3, delta, norm)``.
     """
-
-    base = bb1(PI).pulses
-    target = Pulse(PI, 0.0)
-
-    def degree3(pulses) -> tuple[float, float]:
-        _, cx, cy, _ = _series.residual(pulses, target, PULSE_LENGTH, degree=3).degree_pauli(3)
-        return cx.imag, cy.imag
-
-    vx, vy = degree3(base)
-    phi3 = math.acos((math.hypot(vx, vy) / (32.0 * PI**3)) ** (1.0 / 3.0))
-    delta = math.atan2(vy, vx) % TWO_PI
-    norm = math.hypot(*degree3([*base, *(Pulse(p.angle, p.phase + delta) for p in _x3(phi3))]))
+    phi3 = math.acos((math.sqrt(40.0) / 2048.0) ** (1.0 / 3.0))
+    delta = math.atan2(math.sqrt(15.0), -5.0)
+    pulses = [*bb1(PI).pulses, *(Pulse(p.angle, p.phase + delta) for p in _x3(phi3))]
+    norm = float(contour_sigma_norms(pulses, rotation(PI, 0.0), points=64)[1:].max())
     if not norm < tol:
         raise SolverFailure(
             f"third-order phase solver: |residual| {norm:.3e} at the closed-form root "

@@ -6,6 +6,12 @@ channels are modelled: a fractional miscalibration of every rotation angle
 drive relative to its strength (off-resonance error, fraction ``f``), which
 tilts every rotation axis toward z.  Both may act at once.
 
+The residual W = V U^dag of a sequence is analytic in the error fractions.
+:func:`contour_sigma_norms` composes it at complex pulse-length fractions on
+a circle and reads its Taylor coefficients of degree 0..3 off one discrete
+Cauchy sum; both the phase solver in ``sequences`` and the crossover scan in
+``verify`` use that read-out, and neither touches the series engine.
+
 All matrices are plain complex numpy arrays, all functions are pure, and the
 small value types are frozen dataclasses, so everything is safe to share
 across threads.
@@ -15,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +36,20 @@ IDENTITY = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+#: contour for Taylor coefficients in eps: N nodes on the circle |eps| = r
+CONTOUR_POINTS, CONTOUR_RADIUS = 32, 0.2
+
+
+@lru_cache(maxsize=None)
+def _contour(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The N nodes r e^(2 pi i j/N) and the (N, 4) Cauchy matrix to degrees 0..3."""
+    j = np.arange(points)
+    cauchy = np.exp(-2j * np.pi * np.outer(j, np.arange(4)) / points) / (points * CONTOUR_RADIUS ** np.arange(4))
+    return CONTOUR_RADIUS * np.exp(2j * np.pi * j / points), cauchy
+
+
+CONTOUR_EPS = _contour(CONTOUR_POINTS)[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,14 +123,6 @@ class PauliDecomposition:
     cy: complex
     cz: complex
 
-    @property
-    def vector(self) -> tuple[complex, complex, complex]:
-        return (self.cx, self.cy, self.cz)
-
-    @property
-    def vector_norm(self) -> float:
-        return math.sqrt(abs(self.cx) ** 2 + abs(self.cy) ** 2 + abs(self.cz) ** 2)
-
     def reconstruct(self) -> np.ndarray:
         return (
             self.c0 * IDENTITY
@@ -173,18 +186,8 @@ def _axis_angle(theta, phi, w, f) -> np.ndarray:
 def rotation(theta: float, phi: float) -> np.ndarray:
     """Ideal rotation exp[-i theta (sigma_x cos(phi) + sigma_y sin(phi)) / 2].
 
-    Parameters
-    ----------
-    theta : float
-        Rotation angle in radians.  May be negative (an exact identity maps
-        it to a positive rotation with phase shifted by pi).
-    phi : float
-        Azimuthal angle of the rotation axis in the xy plane, radians.
-
-    Returns
-    -------
-    np.ndarray
-        The 2x2 special-unitary propagator.
+    ``theta`` (radians) may be negative; ``phi`` is the azimuth of the
+    rotation axis in the xy plane.  The result is a 2x2 special unitary.
     """
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise ValueError(f"rotation arguments must be finite, got ({theta}, {phi})")
@@ -229,13 +232,60 @@ def compose(pulses, model: ErrorModel) -> np.ndarray:
     is the matrix product with the chronologically first pulse as the
     rightmost factor.
     """
+    return _chain(propagator(p, model) for p in pulses)
+
+
+def _chain(matrices) -> np.ndarray:
+    """Product of (stacks of) matrices, the first one the rightmost factor."""
     out = None
-    for p in pulses:
-        m = propagator(p, model)
+    for m in matrices:
         out = m if out is None else m @ out
     if out is None:
         raise ValueError("cannot compose an empty pulse sequence")
     return out
+
+
+def residual_grid(pulses, kind: str, eps, f, u: np.ndarray) -> np.ndarray:
+    """W = V U^dag at every point of the broadcast grid of (eps, f).
+
+    V is the sequence composed under error model ``kind``; a pulse is
+    anything with the fields :func:`pulse_matrix` reads, which under "ple"
+    are ``angle`` and ``phase`` only, so they may be columns of several
+    sequences.  U is the ideal target matrix, or a stack of them that
+    broadcasts against V.  W has the broadcast shape followed by (2, 2).
+    """
+    w = _chain(pulse_matrix(p, kind, eps, f) for p in pulses)
+    return w @ np.swapaxes(u.conj(), -1, -2)
+
+
+def taylor_coefficients(values: np.ndarray) -> np.ndarray:
+    """Taylor coefficients of degree 0..3 of a function analytic in eps.
+
+    ``values`` holds the function at the N nodes of the contour along its
+    last axis (``CONTOUR_EPS`` for the default N); the result replaces that
+    axis by the four coefficients.  Each is the discrete Cauchy integral
+    A_k = sum_j a_j e^(-2 pi i j k / N) / (N r^k).  Its aliasing error is
+    A_(k+N) r^N + A_(k+2N) r^(2N) + ..., and its rounding error is about
+    eps_mach max|a| / r^k.
+    """
+    return values @ _contour(values.shape[-1])[1]
+
+
+def contour_sigma_norms(pulses, u: np.ndarray, points: int = CONTOUR_POINTS) -> np.ndarray:
+    """Norms of the degree 0..3 sigma coefficients of a pulse-length residual.
+
+    W = V U^dag (see :func:`residual_grid`) is composed at ``points`` complex
+    fractions on the circle |eps| = ``CONTOUR_RADIUS``; more nodes push the
+    aliasing error, of relative size r^N, further down.  The result has the
+    batch shape of the pulses and targets followed by 4.
+    """
+    w = residual_grid(pulses, PULSE_LENGTH, _contour(points)[0], 0.0, u)
+    # sigma parts of W without conj, so that they stay analytic in eps
+    w01, w10 = w[..., 0, 1], w[..., 1, 0]
+    sigma = np.stack([w01 + w10, 1j * (w01 - w10), w[..., 0, 0] - w[..., 1, 1]]) / 2.0
+    # one (3 n, N) product: a stacked one takes another BLAS kernel and rounds differently
+    coeffs = taylor_coefficients(sigma.reshape(-1, points)).reshape(sigma.shape[:-1] + (4,))
+    return np.sqrt((np.abs(coeffs) ** 2).sum(axis=0))
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:

@@ -8,8 +8,8 @@ taken from the Pauli (sigma) part of the residual unitary rather than from
 1 - |Tr/2|, so it carries no cancellation floor and needs no extended
 precision: results are the same on every platform, whatever its
 ``longdouble``.  The degree-3 magnitudes of :func:`crossover_scan` are Taylor
-coefficients read off the same residual, composed at complex pulse-length
-fractions on a circle and integrated by a discrete Cauchy formula.  The whole
+coefficients read off the same residual on a contour of complex pulse-length
+fractions (:func:`compulse.su2.contour_sigma_norms`).  The whole
 angle grid of one variant is a single batched composition; the bisection for
 the crossover then evaluates one angle per step.
 Agreement between the two routes is what certifies a sequence.
@@ -22,22 +22,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sequences import PulseSequence, build
-from .su2 import OFF_RESONANCE, PULSE_LENGTH, SIMULTANEOUS, Pulse, pulse_matrix, rotation
+from .sequences import build
+from .su2 import OFF_RESONANCE, PULSE_LENGTH, SIMULTANEOUS, Pulse, contour_sigma_norms, residual_grid, rotation
 
 #: sweep defaults: geometric grid and the infidelity window used for fitting
 GRID_MIN, GRID_MAX, GRID_POINTS = 1e-4, 1e-1, 25
 FIT_WINDOW = (1e-14, 1e-2)
-
-#: contour for Taylor coefficients in eps: N nodes on the circle |eps| = r
-CONTOUR_POINTS, CONTOUR_RADIUS = 32, 0.2
-_nodes = np.arange(CONTOUR_POINTS)
-CONTOUR_EPS = CONTOUR_RADIUS * np.exp(2j * np.pi * _nodes / CONTOUR_POINTS)
-#: (N, 4) matrix taking node values to the Taylor coefficients of degree 0..3
-_CAUCHY = np.exp(-2j * np.pi * np.outer(_nodes, np.arange(4)) / CONTOUR_POINTS) / (
-    CONTOUR_POINTS * CONTOUR_RADIUS ** np.arange(4)
-)
-del _nodes
 
 _AXIS_KIND = {"eps": PULSE_LENGTH, "f": OFF_RESONANCE}
 
@@ -55,32 +45,15 @@ class _PulseColumn(NamedTuple):
     phase: np.ndarray
 
 
-def _residual_grid(pulses, kind: str, eps, f, u: np.ndarray) -> np.ndarray:
-    """W = V U^dag at every point of the broadcast grid of (eps, f).
-
-    V is the sequence composed under error model ``kind``, U the ideal
-    target matrix, or a stack of them that broadcasts against V.  W has the
-    broadcast shape of the pulse parameters and the fractions ``kind`` uses,
-    followed by (2, 2).
-    """
-    w = None
-    for p in pulses:
-        m = pulse_matrix(p, kind, eps, f)
-        w = m if w is None else m @ w
-    if w is None:
-        raise ValueError("cannot compose an empty pulse sequence")
-    return w @ np.swapaxes(u.conj(), -1, -2)
-
-
 def infidelity_grid(pulses, kind: str, eps, f, target: Pulse) -> np.ndarray:
     """1 - |Tr(V U^dag)|/2 at every point of the broadcast grid of (eps, f).
 
-    With W = V U^dag = a0 I + a.sigma (see :func:`_residual_grid`), the
+    With W = V U^dag = a0 I + a.sigma (see :func:`~compulse.su2.residual_grid`), the
     infidelity is evaluated as |a|^2 / (1 + |a0|), which equals 1 - |a0| for
     unitary W but involves no cancellation, so float64 resolves it far below
     1e-16.
     """
-    w = _residual_grid(pulses, kind, eps, f, rotation(target.angle, target.phase))
+    w = residual_grid(pulses, kind, eps, f, rotation(target.angle, target.phase))
     a0 = np.abs(w[..., 0, 0] + w[..., 1, 1]) / 2.0
     az = np.abs(w[..., 0, 0] - w[..., 1, 1]) / 2.0
     # |a_x|^2 + |a_y|^2 = (|w01|^2 + |w10|^2) / 2
@@ -97,15 +70,11 @@ def infidelity_ld(pulses, kind: str, eps, f, target: Pulse) -> float:
     return float(infidelity_grid(pulses, kind, eps, f, target))
 
 
-def _default_target(seq) -> Pulse:
-    if isinstance(seq, PulseSequence):
-        return seq.target
-    return Pulse(0.0, 0.0)
-
-
 def _axis_sweep(seq, axis: str, target: Pulse | None, grid) -> tuple[np.ndarray, np.ndarray]:
     """Grid and infidelities of a sweep along one error axis ("eps" or "f")."""
-    target = target or _default_target(seq)
+    if axis not in _AXIS_KIND:
+        raise ValueError(f"unknown sweep axis {axis!r}; expected 'eps' or 'f'")
+    target = target or getattr(seq, "target", Pulse(0.0, 0.0))
     grid = geometric_grid() if grid is None else np.asarray(grid, dtype=float)
     eps, f = (grid, 0.0) if axis == "eps" else (0.0, grid)
     return grid, infidelity_grid(seq, _AXIS_KIND[axis], eps, f, target)
@@ -215,18 +184,6 @@ class CrossoverResult:
     flagged: bool
 
 
-def taylor_coefficients(values: np.ndarray) -> np.ndarray:
-    """Taylor coefficients of degree 0..3 of a function analytic in eps.
-
-    ``values`` holds the function at the nodes ``CONTOUR_EPS`` along its last
-    axis; the result replaces that axis by the four coefficients.  Each is
-    the discrete Cauchy integral A_k = sum_j a_j e^(-2 pi i j k / N) / (N r^k).
-    Its aliasing error is A_(k+N) r^N + A_(k+2N) r^(2N) + ..., and its
-    rounding error is about eps_mach max|a| / r^k.
-    """
-    return values @ _CAUCHY
-
-
 def _degree3_magnitudes(name: str, thetas) -> np.ndarray:
     """Norms of the degree-3 sigma coefficient of ``name``'s pulse-length
     residual, one per angle of ``thetas``.
@@ -246,13 +203,7 @@ def _degree3_magnitudes(name: str, thetas) -> np.ndarray:
         table = np.array([[(p.angle, p.phase) for p in seq.pulses] for seq in seqs])
         pulses = [_PulseColumn(table[:, j, 0, None], table[:, j, 1, None]) for j in range(table.shape[1])]
         u = np.stack([rotation(seq.target.angle, seq.target.phase) for seq in seqs])[:, None]
-    w = _residual_grid(pulses, PULSE_LENGTH, CONTOUR_EPS, 0.0, u)
-    # sigma parts of W without conj, so that they stay analytic in eps
-    w01, w10 = w[..., 0, 1], w[..., 1, 0]
-    sigma = np.stack([w01 + w10, 1j * (w01 - w10), w[..., 0, 0] - w[..., 1, 1]]) / 2.0
-    # one (3 n, N) product: a stacked one takes another BLAS kernel and rounds differently
-    coeffs = taylor_coefficients(sigma.reshape(-1, CONTOUR_POINTS)).reshape(3, len(seqs), 4)
-    norms = np.sqrt((np.abs(coeffs) ** 2).sum(axis=0))
+    norms = contour_sigma_norms(pulses, u).reshape(len(seqs), 4)
     bad = (norms[:, 1] > 1e-10) | (norms[:, 2] > 1e-10)
     if bad.any():
         raise ValueError(f"{name} is not second-order correct at theta = {thetas[int(np.argmax(bad))]}")
@@ -310,9 +261,12 @@ def inverse_quality(seq, seq_inv, model_kind: str, grid=None) -> SweepResult:
     """Order of the residual of seq_inv following seq, against the identity.
 
     Both sequences are concatenated chronologically and swept under the given
-    model; an exact inverse comes back flagged ``beyond_resolution``.
+    model, "ple" or "ore"; an exact inverse comes back flagged
+    ``beyond_resolution``.
     """
-    axis = "eps" if model_kind == PULSE_LENGTH else "f"
+    axis = {PULSE_LENGTH: "eps", OFF_RESONANCE: "f"}.get(model_kind)
+    if axis is None:
+        raise ValueError(f"inverse_quality takes model kind 'ple' or 'ore', got {model_kind!r}")
     pulses = tuple(seq) + tuple(seq_inv)
     return estimate_order(pulses, axis, target=Pulse(0.0, 0.0), grid=grid)
 
@@ -346,7 +300,7 @@ def fidelity_surface(
     both axis contributions, with eps^2 f^4 and eps^4 f^2 nuisance terms
     absorbed by least squares.
     """
-    target = target or _default_target(seq)
+    target = target or getattr(seq, "target", Pulse(0.0, 0.0))
     eps_grid = geometric_grid(3e-3, 3e-2, 7) if eps_grid is None else np.asarray(eps_grid, dtype=float)
     f_grid = geometric_grid(3e-3, 3e-2, 7) if f_grid is None else np.asarray(f_grid, dtype=float)
 

@@ -271,6 +271,14 @@ class TestCompare:
         assert err.value.code == EXIT_USAGE
         assert "theta range must be" in capsys.readouterr().err
 
+    def test_720_degree_identity_flagged(self, capsys):
+        # sk2 at 720 degrees is an exact identity: no crossover, and no error
+        assert (
+            run_main("compare", "--variants", "bb1", "sk2", "--theta-range", "700:720:3")
+            == EXIT_OK
+        )
+        assert "# no crossover of bb1 vs sk2 in range (flagged)" in capsys.readouterr().out
+
     def test_single_variant_rejected(self, capsys):
         assert run_main("compare", "--variants", "bb1") == EXIT_USAGE
 

@@ -169,6 +169,13 @@ class TestSKCorrected:
         assert len(seq) == 17
         assert _order(seq) == 3
 
+    @pytest.mark.parametrize("theta", [4 * PI, math.radians(720.0)], ids=["4pi", "radians"])
+    def test_sk2_at_720_is_an_exact_identity(self, theta):
+        # the radicand of phi2 vanishes at 4 pi; every pulse then lies on the x axis
+        seq = build("sk2", theta)
+        assert seq.metadata["phi2"] == PI / 2
+        assert _order(seq) is None
+
     def test_sk3_order_four(self):
         seq = build("sk3", PI)
         assert len(seq) == 24
@@ -193,6 +200,10 @@ class TestThirdOrderSolver:
         phi3, delta = solve_third_order()
         assert phi3 == pytest.approx(math.acos((math.sqrt(40) / 2048) ** (1 / 3)), abs=1e-9)
         assert delta == pytest.approx(PI - math.atan(math.sqrt(15) / 5), abs=1e-9)
+
+    def test_exact_closed_form(self):
+        root = (math.acos((math.sqrt(40.0) / 2048.0) ** (1.0 / 3.0)), math.atan2(math.sqrt(15.0), -5.0))
+        assert solve_third_order() == root == (1.4246525272567043, 2.4825346177633842)
 
     def test_degree_values(self):
         phi3, delta = solve_third_order()

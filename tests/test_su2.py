@@ -18,7 +18,7 @@ from compulse import (
     rotation,
 )
 from compulse.sequences import bb1
-from compulse.su2 import _axis_angle, pulse_matrix
+from compulse.su2 import CONTOUR_EPS, _axis_angle, pulse_matrix
 
 from conftest import ID2, SX, SY, SZ, maxdiff, pauli_vec, taylor_expm
 
@@ -315,8 +315,6 @@ class TestAxisAngleBatch:
         )
 
     def test_complex_contour_path(self):
-        from compulse.verify import CONTOUR_EPS
-
         batch = _axis_angle(self.ANGLE_COLUMN * (1.0 + CONTOUR_EPS), self.PHASE_COLUMN, 1.0, 0.0)
         assert batch.dtype == complex and batch.shape == (8, 32, 2, 2)
         self._assert_rows_equal(

@@ -6,14 +6,14 @@ import math
 import numpy as np
 import pytest
 
+import compulse.sequences
+import compulse.series
 import compulse.verify
 from compulse import Pulse, residual
-from compulse.sequences import build, corpse, ple_pure_error, shift_phases
-from compulse.su2 import pulse_matrix, rotation
+from compulse.sequences import CATALOG, build, corpse, ple_pure_error, shift_phases, solve_third_order
+from compulse.su2 import CONTOUR_EPS, pulse_matrix, residual_grid, rotation, taylor_coefficients
 from compulse.verify import (
-    CONTOUR_EPS,
     _degree3_magnitudes,
-    _residual_grid,
     crossover_scan,
     estimate_order,
     fidelity_surface,
@@ -22,7 +22,6 @@ from compulse.verify import (
     infidelity_grid,
     infidelity_ld,
     inverse_quality,
-    taylor_coefficients,
 )
 
 PI = math.pi
@@ -56,6 +55,14 @@ class TestEstimateOrder:
         grid = geometric_grid(1e-3, 3e-2, 10)
         sweep = estimate_order(build("sk1", PI), "eps", grid=grid)
         assert sweep.order == 2
+
+    @pytest.mark.parametrize("axis", ["x", "epsilon", "ple"])
+    def test_unknown_axis_rejected(self, axis):
+        seq = build("bb1", PI)
+        with pytest.raises(ValueError, match=f"unknown sweep axis '{axis}'"):
+            estimate_order(seq, axis)
+        with pytest.raises(ValueError, match=f"unknown sweep axis '{axis}'"):
+            fit_leading_coefficient(seq, axis, 6)
 
 
 CATALOG_AXES = [
@@ -199,7 +206,7 @@ class TestCrossoverScan:
 def _one_angle_magnitude(name, theta):
     """Degree-3 sigma norm of one sequence composed from its own pulses."""
     seq = build(name, theta)
-    w = _residual_grid(seq.pulses, "ple", CONTOUR_EPS, 0.0, rotation(seq.target.angle, seq.target.phase))
+    w = residual_grid(seq.pulses, "ple", CONTOUR_EPS, 0.0, rotation(seq.target.angle, seq.target.phase))
     w01, w10 = w[:, 0, 1], w[:, 1, 0]
     sigma = np.stack([w01 + w10, 1j * (w01 - w10), w[:, 0, 0] - w[:, 1, 1]]) / 2.0
     return np.sqrt((np.abs(taylor_coefficients(sigma)) ** 2).sum(axis=0))[3]
@@ -272,8 +279,9 @@ class TestContour:
             for part in (np.real, np.imag):
                 assert np.all(np.abs(part(analytic) - part(real)) <= np.spacing(np.abs(part(real))))
 
-    def test_verify_does_not_import_series(self):
-        with open(compulse.verify.__file__, encoding="utf-8") as fh:
+    @pytest.mark.parametrize("module", [compulse.verify, compulse.sequences], ids=["verify.py", "sequences.py"])
+    def test_verify_does_not_import_series(self, module):
+        with open(module.__file__, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -281,6 +289,21 @@ class TestContour:
             elif isinstance(node, ast.ImportFrom):
                 assert "series" not in (node.module or "").split(".")
                 assert all(alias.name != "series" for alias in node.names)
+
+    def test_numeric_route_runs_without_series_engine(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("the series engine was called")
+
+        for name in ("residual", "sequence_series", "propagator_series"):
+            monkeypatch.setattr(compulse.series, name, boom)
+        solve_third_order.cache_clear()
+        try:
+            for name in CATALOG:
+                build(name, PI)
+            assert estimate_order(build("sk3", PI), "eps").order == 4
+            assert crossover_scan(["bb1", "sk2rot"], np.radians([150.0, 165.0, 180.0])).crossover_theta is not None
+        finally:
+            solve_third_order.cache_clear()
 
 
 class TestInverseQuality:
@@ -301,6 +324,12 @@ class TestInverseQuality:
             ple_pure_error("x1", 0.7), ple_pure_error("x1inv", 0.7), "ple"
         )
         assert sweep.beyond_resolution
+
+    @pytest.mark.parametrize("kind", ["sim", "xyz"])
+    def test_unknown_model_kind_rejected(self, kind):
+        a = build("simple", 1.1)
+        with pytest.raises(ValueError, match=f"model kind 'ple' or 'ore', got '{kind}'"):
+            inverse_quality(a, shift_phases(a, PI), kind)
 
     @pytest.mark.parametrize("theta", [0.9, PI / 2, 2.0])
     def test_short_corpse_inverse_has_smaller_third_order(self, theta):
