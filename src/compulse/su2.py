@@ -12,6 +12,12 @@ a circle and reads its Taylor coefficients of degree 0..3 off one discrete
 Cauchy sum; both the phase solver in ``sequences`` and the crossover scan in
 ``verify`` use that read-out, and neither touches the series engine.
 
+The grid pulse loop behind :func:`residual_grid` splits each propagator into
+an angle part (the modulus, cosine and sine) and a phase part.  Composite
+sequences repeat a few angles at many phases, so the angle part is evaluated
+once per distinct angle and shared by every pulse of that angle; each matrix
+is still the one a lone pulse gives, bit for bit.
+
 All matrices are plain complex numpy arrays, all functions are pure, and the
 small value types are frozen dataclasses, so everything is safe to share
 across threads.
@@ -75,8 +81,11 @@ class Pulse:
         flipped = self.flipped
         if angle < 0.0:
             angle, phase, flipped = -angle, phase + math.pi, True
+        phase %= TWO_PI
+        if phase == TWO_PI:  # float % rounds a tiny negative phase up to the modulus
+            phase = 0.0
         object.__setattr__(self, "angle", angle)
-        object.__setattr__(self, "phase", phase % TWO_PI)
+        object.__setattr__(self, "phase", phase)
         object.__setattr__(self, "flipped", flipped)
 
 
@@ -132,34 +141,31 @@ class PauliDecomposition:
         )
 
 
-def _axis_angle(theta, phi, w, f) -> np.ndarray:
-    """exp[-i theta (w (sigma_x cos(phi) + sigma_y sin(phi)) + f sigma_z) / 2].
-
-    The closed form is c I - i s (w cos(phi) sigma_x + w sin(phi) sigma_y +
-    f sigma_z) with m = |(w, f)|, c = cos(theta m / 2), s = sin(theta m / 2) / m.
-    ``theta``, ``phi``, ``w`` and ``f`` may be arrays; the result has their
-    broadcast shape followed by (2, 2).  A float phase keeps ``math.cos`` and
-    ``math.sin``; an array phase takes their numpy forms.
-
-    Complex arguments continue the form analytically, with m = sqrt(w^2 +
-    f^2); the branch of the root does not matter, because c and s are even
-    in m.  That is what lets contour integrals in the error fraction read off
-    Taylor coefficients.
-    """
+def _modulus(w, f):
+    """m = |(w, f)|, continued to complex arguments as sqrt(w^2 + f^2)."""
     try:
-        m = np.hypot(w, f)
+        return np.hypot(w, f)
     except TypeError:  # hypot refuses complex input
-        m = np.sqrt(w * w + f * f)
+        return np.sqrt(w * w + f * f)
+
+
+def _angle_part(theta, m, f) -> tuple:
+    """c = cos(theta m / 2), s = sin(theta m / 2) / m and s f: the factors of
+    :func:`_axis_angle` that do not depend on the phase."""
     a = theta * m / 2.0
     c = np.cos(a)
     s = np.sin(a) / m
+    return c, s, s * f
+
+
+def _phase_part(c, s, sz, phi, w) -> np.ndarray:
+    """The rotation with angle part (c, s, s f) about the axis of phase ``phi``."""
     if isinstance(phi, np.ndarray):
         cos_phi, sin_phi = np.cos(phi), np.sin(phi)
     else:
         cos_phi, sin_phi = math.cos(phi), math.sin(phi)
     sx = s * (w * cos_phi)
     sy = s * (w * sin_phi)
-    sz = s * f
     # sx carries the broadcast shape of every argument
     shape = np.shape(sx)
     if c.dtype.kind == "c":
@@ -183,6 +189,23 @@ def _axis_angle(theta, phi, w, f) -> np.ndarray:
     return out.view(complex)[..., 0]
 
 
+def _axis_angle(theta, phi, w, f) -> np.ndarray:
+    """exp[-i theta (w (sigma_x cos(phi) + sigma_y sin(phi)) + f sigma_z) / 2].
+
+    The closed form is c I - i s (w cos(phi) sigma_x + w sin(phi) sigma_y +
+    f sigma_z) with m = |(w, f)|, c = cos(theta m / 2), s = sin(theta m / 2) / m.
+    ``theta``, ``phi``, ``w`` and ``f`` may be arrays; the result has their
+    broadcast shape followed by (2, 2).  A float phase keeps ``math.cos`` and
+    ``math.sin``; an array phase takes their numpy forms.
+
+    Complex arguments continue the form analytically, with m = sqrt(w^2 +
+    f^2); the branch of the root does not matter, because c and s are even
+    in m.  That is what lets contour integrals in the error fraction read off
+    Taylor coefficients.
+    """
+    return _phase_part(*_angle_part(theta, _modulus(w, f), f), phi, w)
+
+
 def rotation(theta: float, phi: float) -> np.ndarray:
     """Ideal rotation exp[-i theta (sigma_x cos(phi) + sigma_y sin(phi)) / 2].
 
@@ -194,22 +217,50 @@ def rotation(theta: float, phi: float) -> np.ndarray:
     return _axis_angle(theta, phi, 1.0, 0.0)
 
 
+def _pulse_matrices(pulses, kind: str, eps, f):
+    """Propagators of ``pulses`` under error model ``kind`` at fractions (eps, f), in order.
+
+    w, f and m = |(w, f)| are computed once per call, and the angle part of
+    :func:`_axis_angle` once per distinct pulse angle: composite sequences
+    repeat a few angles at many phases.  A pulse's angle is keyed by its
+    value, or by its bytes when it is an array column of several sequences.
+    Each yielded matrix equals the one :func:`_axis_angle` gives for that
+    pulse alone, bit for bit.
+    """
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown error model kind {kind!r}")
+    if kind == PULSE_LENGTH:
+        stretch, w, f = 1.0 + eps, 1.0, 0.0
+    else:
+        stretch, w = None, (1.0 + eps if kind == SIMULTANEOUS else 1.0)
+    m = _modulus(w, f)
+    parts = {}
+    for pulse in pulses:
+        if stretch is None and pulse.flipped:
+            raise ValueError(
+                "off-resonance propagators are defined for nonnegative angles only; "
+                "this pulse was built from a negative-angle request"
+            )
+        angle = pulse.angle
+        if isinstance(angle, np.ndarray):
+            key = angle.tobytes()
+        else:
+            # 0.0 == -0.0 as keys, but their matrices differ in the signs of zeros
+            key = angle if angle else repr(angle)
+        part = parts.get(key)
+        if part is None:
+            part = parts[key] = _angle_part(angle if stretch is None else angle * stretch, m, f)
+        yield _phase_part(*part, pulse.phase, w)
+
+
 def pulse_matrix(pulse: Pulse, kind: str, eps, f) -> np.ndarray:
     """Propagator of one pulse under error model ``kind`` at fractions (eps, f).
 
     ``eps`` and ``f`` may be arrays, giving one 2x2 matrix per grid point,
     and may be complex (see :func:`_axis_angle`); the fraction a model does
-    not carry is ignored.
+    not carry is ignored.  An unknown ``kind`` raises ``ValueError``.
     """
-    if kind == PULSE_LENGTH:
-        return _axis_angle(pulse.angle * (1.0 + eps), pulse.phase, 1.0, 0.0)
-    if pulse.flipped:
-        raise ValueError(
-            "off-resonance propagators are defined for nonnegative angles only; "
-            "this pulse was built from a negative-angle request"
-        )
-    w = 1.0 + eps if kind == SIMULTANEOUS else 1.0
-    return _axis_angle(pulse.angle, pulse.phase, w, f)
+    return next(_pulse_matrices((pulse,), kind, eps, f))
 
 
 def propagator(pulse: Pulse, model: ErrorModel) -> np.ndarray:
@@ -253,8 +304,10 @@ def residual_grid(pulses, kind: str, eps, f, u: np.ndarray) -> np.ndarray:
     are ``angle`` and ``phase`` only, so they may be columns of several
     sequences.  U is the ideal target matrix, or a stack of them that
     broadcasts against V.  W has the broadcast shape followed by (2, 2).
+    The modulus, cosine and sine of the angle part are evaluated once per
+    distinct pulse angle, not once per pulse (see :func:`_pulse_matrices`).
     """
-    w = _chain(pulse_matrix(p, kind, eps, f) for p in pulses)
+    w = _chain(_pulse_matrices(pulses, kind, eps, f))
     return w @ np.swapaxes(u.conj(), -1, -2)
 
 

@@ -17,8 +17,10 @@ from compulse import (
     propagator,
     rotation,
 )
-from compulse.sequences import bb1
-from compulse.su2 import CONTOUR_EPS, _axis_angle, pulse_matrix
+from compulse import su2
+from compulse.sequences import bb1, build
+from compulse.su2 import CONTOUR_EPS, _axis_angle, _chain, pulse_matrix, residual_grid
+from compulse.verify import _PulseColumn, infidelity_grid
 
 from conftest import ID2, SX, SY, SZ, maxdiff, pauli_vec, taylor_expm
 
@@ -60,6 +62,10 @@ class TestPulse:
     def test_phase_reduced(self):
         assert Pulse(1.0, 7.0).phase == pytest.approx(7.0 - 2 * math.pi)
         assert Pulse(1.0, -0.5).phase == pytest.approx(2 * math.pi - 0.5)
+        # float % rounds these up to the modulus itself, outside [0, 2pi)
+        for phase in (-1e-17, -1e-300, -math.ulp(2 * math.pi) / 4):
+            assert phase % (2 * math.pi) == 2 * math.pi
+            assert Pulse(1.0, phase).phase == 0.0
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -220,6 +226,32 @@ class TestCompose:
         assert g1 > 1e-5  # a genuine first-order defect
         assert g1 / g2 == pytest.approx(2.0, rel=0.02)
 
+    def test_one_propagator_call_per_pulse(self, monkeypatch):
+        """``compose`` builds its product from one ``propagator`` call per pulse.
+
+        The benchmark's per-layer metrics ``su2.propagator.us`` and
+        ``su2.compose.us_per_pulse`` time ``compose`` of whole sequences and
+        divide by the number of ``propagator`` spans inside it; a ``compose``
+        that bypassed ``propagator`` would leave them with nothing to divide by.
+        """
+        calls = []
+
+        def counting(pulse, model):
+            calls.append(pulse)
+            return propagator(pulse, model)
+
+        monkeypatch.setattr(su2, "propagator", counting)
+        for name, model in (
+            ("bb1", ErrorModel.pulse_length(0.05)),
+            ("sk3", ErrorModel.pulse_length(0.05)),
+            ("or-second-xz", ErrorModel.off_resonance(0.05)),
+            ("simultaneous", ErrorModel.simultaneous(0.05, 0.02)),
+        ):
+            seq = build(name, math.pi)
+            calls.clear()
+            assert np.array_equal(compose(seq, model), _chain(propagator(p, model) for p in seq))
+            assert calls == list(seq.pulses)
+
 
 class TestFidelity:
     def test_self_and_global_phase(self):
@@ -325,3 +357,72 @@ class TestAxisAngleBatch:
         batch = _axis_angle(1.7, self.PHASE_COLUMN, 1.0, 0.0)
         assert batch.shape == (8, 1, 2, 2)
         self._assert_rows_equal(batch, lambda i, phi: _axis_angle(1.7, phi, 1.0, 0.0)[None])
+
+
+class TestPulseLoop:
+    """The grid pulse loop shares each distinct angle's trig, bit for bit."""
+
+    GRIDS = {
+        "1-D": np.geomspace(1e-4, 1e-1, 9),
+        "(E,1)x(1,F)": (np.linspace(-0.1, 0.1, 5)[:, None], np.geomspace(1e-3, 1e-1, 4)[None, :]),
+        "contour": CONTOUR_EPS,
+    }
+
+    @staticmethod
+    def _fractions(kind, grid):
+        if isinstance(grid, tuple):
+            return grid
+        # the grid on the fraction(s) the model carries
+        return {"ple": (grid, 0.0), "ore": (0.0, grid), "sim": (grid, grid / 2.0)}[kind]
+
+    @pytest.mark.parametrize("grid", list(GRIDS), ids=list(GRIDS))
+    @pytest.mark.parametrize("kind", ["ple", "ore", "sim"])
+    @pytest.mark.parametrize("name", ["sk3", "sk2rot", "or-second-xz", "simultaneous"])
+    def test_residual_grid_equals_per_pulse_chain(self, name, kind, grid):
+        seq = build(name, math.pi)
+        # fewer distinct angles than pulses, so the loop shares work
+        assert len({p.angle for p in seq}) < len(seq.pulses)
+        eps, f = self._fractions(kind, self.GRIDS[grid])
+        u = su2.rotation(seq.target.angle, seq.target.phase)
+        got = residual_grid(seq.pulses, kind, eps, f, u)
+        want = _chain(pulse_matrix(p, kind, eps, f) for p in seq) @ u.conj().T
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("eps", [np.geomspace(1e-4, 1e-1, 7), CONTOUR_EPS], ids=["real", "contour"])
+    def test_pulse_columns_with_repeated_angles(self, eps):
+        thetas = np.radians([20.0, 75.0, 130.0, 180.0])
+        seqs = [build("sk2rot", theta) for theta in thetas]
+        table = np.array([[(p.angle, p.phase) for p in seq] for seq in seqs])
+        columns = [_PulseColumn(table[:, j, 0, None], table[:, j, 1, None]) for j in range(table.shape[1])]
+        assert len({c.angle.tobytes() for c in columns}) < len(columns)
+        u = np.stack([su2.rotation(seq.target.angle, seq.target.phase) for seq in seqs])[:, None]
+        got = residual_grid(columns, "ple", eps, 0.0, u)
+        want = _chain(pulse_matrix(c, "ple", eps, 0.0) for c in columns) @ np.swapaxes(u.conj(), -1, -2)
+        assert np.array_equal(got, want)
+
+    def test_signed_zero_angles_keep_their_own_matrices(self):
+        pulses = [Pulse(0.0, 0.4), Pulse(-0.0, 0.4)]
+        for kind in ("ple", "ore", "sim"):
+            got = list(su2._pulse_matrices(pulses, kind, 0.01, 0.02))
+            for p, m in zip(pulses, got):
+                assert m.tobytes() == pulse_matrix(p, kind, 0.01, 0.02).tobytes()
+
+    @pytest.mark.parametrize("kind", ["ore", "sim"])
+    def test_flipped_pulse_after_same_angle_rejected(self, kind):
+        pulses = [Pulse(1.0, 0.3), Pulse(-1.0, 0.0)]
+        assert pulses[0].angle == pulses[1].angle and pulses[1].flipped
+        with pytest.raises(ValueError, match="nonnegative angles only"):
+            residual_grid(pulses, kind, 0.01, 0.02, su2.IDENTITY)
+        residual_grid(pulses, "ple", 0.01, 0.02, su2.IDENTITY)  # fine
+
+    @pytest.mark.parametrize("kind", ["xyz", "PLE", "sim ", ""])
+    def test_unknown_kind_rejected(self, kind):
+        # every other kind used to be taken for off-resonance
+        corpse = build("corpse", math.pi)
+        match = f"unknown error model kind {kind!r}"
+        with pytest.raises(ValueError, match=match):
+            infidelity_grid(corpse, kind, 0.0, 0.01, corpse.target)
+        with pytest.raises(ValueError, match=match):
+            pulse_matrix(corpse.pulses[0], kind, 0.1, 0.0)
+        with pytest.raises(ValueError, match=match):
+            residual_grid([], kind, 0.0, 0.01, su2.IDENTITY)
