@@ -21,7 +21,7 @@ import numpy as np
 from . import series as _series
 from . import verify as _verify
 from .sequences import CATALOG, PulseSequence, build
-from .su2 import MODEL_KINDS, OFF_RESONANCE, SIMULTANEOUS, Pulse
+from .su2 import KIND_AXIS, MODEL_KINDS, SIMULTANEOUS, Pulse
 
 SCHEMA_VERSION = 1
 _INT_METADATA = ("na", "nb", "nc")
@@ -186,10 +186,6 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
-def _axis_for(model_kind: str) -> str:
-    return "f" if model_kind == OFF_RESONANCE else "eps"
-
-
 def cmd_synth(args) -> int:
     if args.name not in CATALOG:
         print(f"error: unknown sequence name {args.name!r}", file=sys.stderr)
@@ -215,10 +211,10 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     model_kind = args.model or seq.model_kind
-    if model_kind == SIMULTANEOUS:
+    axis = KIND_AXIS.get(model_kind)
+    if axis is None:
         print("error: verify needs a single error axis; use --model ple or --model ore", file=sys.stderr)
         return EXIT_USAGE
-    axis = _axis_for(model_kind)
     try:
         report = _series.leading_error(
             _series.residual(seq.pulses, seq.target, model_kind, args.degree)
@@ -227,7 +223,7 @@ def cmd_verify(args) -> int:
         # declared target does not match the pulse list (or similar defect)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    sweep = _verify.estimate_order(seq, axis, target=seq.target)
+    sweep = _verify.estimate_order(seq, axis)
     series_order = report.order
     numeric_order = sweep.order
     coeff = report.infidelity_coefficient
@@ -270,13 +266,12 @@ def cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     model_kind = args.model or seq.model_kind
-    grid = args.grid if args.grid is not None else _verify.geometric_grid()
-    if model_kind == SIMULTANEOUS:
-        e, f = grid[:, None], grid[None, :]
-    else:
-        e, f = (grid, 0.0) if _axis_for(model_kind) == "eps" else (0.0, grid)
     try:
-        ys = _verify.infidelity_grid(seq.pulses, model_kind, e, f, seq.target)
+        if model_kind == SIMULTANEOUS:
+            grid = args.grid if args.grid is not None else _verify.geometric_grid()
+            ys = _verify.infidelity_grid(seq.pulses, model_kind, grid[:, None], grid[None, :], seq.target)
+        else:
+            grid, ys = _verify.axis_sweep(seq, KIND_AXIS[model_kind], args.grid)
     except ValueError as exc:
         # e.g. a flipped (negative-angle) pulse under an off-resonance model
         print(f"error: {exc}", file=sys.stderr)

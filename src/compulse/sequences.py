@@ -374,30 +374,6 @@ def or_pure_error(kind: str, phi: float) -> PulseSequence:
 # ---------------------------------------------------------------------------
 # CORPSE
 
-@dataclass(frozen=True)
-class CorpseAngles:
-    """Segment angles and winding integers of a three-segment sequence."""
-
-    na: int
-    nb: int
-    nc: int
-    theta_a: float
-    theta_b: float
-    theta_c: float
-
-
-def corpse_angles(theta: float, na: int, nb: int, nc: int) -> CorpseAngles:
-    k = math.asin(math.sin(theta / 2.0) / 2.0)
-    a = na * TWO_PI + theta / 2.0 - k
-    b = nb * TWO_PI - 2.0 * k
-    c = nc * TWO_PI + theta / 2.0 - k
-    if min(a, b, c) <= 0.0:
-        raise ValueError(
-            f"corpse segment angles must be positive, got ({a:.4f}, {b:.4f}, {c:.4f})"
-        )
-    return CorpseAngles(na, nb, nc, a, b, c)
-
-
 def corpse(theta: float, windings=(1, 1, 0)) -> PulseSequence:
     """Three-segment first-order off-resonance correction.
 
@@ -407,11 +383,17 @@ def corpse(theta: float, windings=(1, 1, 0)) -> PulseSequence:
     phase pi, the outer two with phase 0.
     """
     na, nb, nc = windings
-    ang = corpse_angles(theta, na, nb, nc)
+    k = math.asin(math.sin(theta / 2.0) / 2.0)
+    a = na * TWO_PI + theta / 2.0 - k
+    b = nb * TWO_PI - 2.0 * k
+    c = nc * TWO_PI + theta / 2.0 - k
+    if min(a, b, c) <= 0.0:
+        raise ValueError(
+            f"corpse segment angles must be positive, got ({a:.4f}, {b:.4f}, {c:.4f})"
+        )
     name = "corpse" if (na, nb, nc) == (1, 1, 0) else f"corpse-{na}{nb}{nc}"
-    pulses = (_p(ang.theta_a, 0.0), _p(ang.theta_b, PI), _p(ang.theta_c, 0.0))
-    meta = {"theta_a": ang.theta_a, "theta_b": ang.theta_b, "theta_c": ang.theta_c,
-            "na": na, "nb": nb, "nc": nc}
+    pulses = (_p(a, 0.0), _p(b, PI), _p(c, 0.0))
+    meta = {"theta_a": a, "theta_b": b, "theta_c": c, "na": na, "nb": nb, "nc": nc}
     return PulseSequence(name, theta, pulses, OFF_RESONANCE, metadata=meta)
 
 

@@ -26,15 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .su2 import (
-    MODEL_KINDS,
-    OFF_RESONANCE,
-    PULSE_LENGTH,
-    ErrorModel,
-    Pulse,
-    adjoint,
-    rotation,
-)
+from .su2 import OFF_RESONANCE, PULSE_LENGTH, Pulse, adjoint, flipped_pulse_error, kind_of, rotation
 
 DEFAULT_DEGREE = 8
 
@@ -233,13 +225,6 @@ class MatrixSeries:
         return math.hypot(*parts)
 
 
-def _model_kind(model) -> str:
-    kind = model.kind if isinstance(model, ErrorModel) else model
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown error model kind {kind!r}")
-    return kind
-
-
 def _m2_taylor(c: float, degree: int) -> np.ndarray:
     """Taylor coefficients in u = x - 1 of C(x) = cos(c sqrt(x)) and S(x) = sin(c sqrt(x))/sqrt(x).
 
@@ -274,12 +259,9 @@ def propagator_series(pulse: Pulse, model, degree: int = DEFAULT_DEGREE) -> Matr
     ``model`` may be an :class:`ErrorModel` or one of the kind strings "ple",
     "ore", "sim".
     """
-    kind = _model_kind(model)
+    kind = kind_of(model)
     if kind != PULSE_LENGTH and pulse.flipped:
-        raise ValueError(
-            "off-resonance expansions are defined for nonnegative angles only; "
-            "this pulse was built from a negative-angle request"
-        )
+        raise flipped_pulse_error()
     coeffs = _m2_taylor(pulse.angle / 2.0, degree)
     if not np.isfinite(coeffs).all():
         raise ValueError(f"pulse angle {pulse.angle:g} is too large for a series expansion")

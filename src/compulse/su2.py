@@ -4,7 +4,11 @@ Rotations about axes in the xy plane are the elementary operations.  Two error
 channels are modelled: a fractional miscalibration of every rotation angle
 (pulse length error, fraction ``epsilon``) and a constant detuning of the
 drive relative to its strength (off-resonance error, fraction ``f``), which
-tilts every rotation axis toward z.  Both may act at once.
+tilts every rotation axis toward z.  Both may act at once.  This module
+decides the error-model vocabulary for every route: the kind check
+(:func:`kind_of`), the refusal of negative-angle pulses off resonance
+(:func:`flipped_pulse_error`) and the sweep axis of each single-channel kind
+(``KIND_AXIS``).
 
 The residual W = V U^dag of a sequence is analytic in the error fractions.
 :func:`contour_sigma_norms` composes it at complex pulse-length fractions on
@@ -35,6 +39,8 @@ PULSE_LENGTH = "ple"
 OFF_RESONANCE = "ore"
 SIMULTANEOUS = "sim"
 MODEL_KINDS = (PULSE_LENGTH, OFF_RESONANCE, SIMULTANEOUS)
+#: the sweep axis of each single-channel error model
+KIND_AXIS = {PULSE_LENGTH: "eps", OFF_RESONANCE: "f"}
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,8 +109,7 @@ class ErrorModel:
     f: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown error model kind {self.kind!r}")
+        kind_of(self)
         if self.kind == PULSE_LENGTH and self.f != 0.0:
             raise ValueError("pulse-length model must not carry an off-resonance fraction")
         if self.kind == OFF_RESONANCE and self.epsilon != 0.0:
@@ -121,6 +126,23 @@ class ErrorModel:
     @classmethod
     def simultaneous(cls, epsilon: float, f: float) -> "ErrorModel":
         return cls(SIMULTANEOUS, epsilon=epsilon, f=f)
+
+
+def kind_of(model) -> str:
+    """The kind of ``model``, an :class:`ErrorModel` or a kind string; a kind
+    outside ``MODEL_KINDS`` raises ValueError."""
+    kind = model.kind if isinstance(model, ErrorModel) else model
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown error model kind {kind!r}")
+    return kind
+
+
+def flipped_pulse_error() -> ValueError:
+    """The refusal of a negative-angle pulse under an off-resonance model."""
+    return ValueError(
+        "off-resonance propagators are defined for nonnegative angles only; "
+        "this pulse was built from a negative-angle request"
+    )
 
 
 @dataclass(frozen=True)
@@ -227,9 +249,7 @@ def _pulse_matrices(pulses, kind: str, eps, f):
     Each yielded matrix equals the one :func:`_axis_angle` gives for that
     pulse alone, bit for bit.
     """
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown error model kind {kind!r}")
-    if kind == PULSE_LENGTH:
+    if kind_of(kind) == PULSE_LENGTH:
         stretch, w, f = 1.0 + eps, 1.0, 0.0
     else:
         stretch, w = None, (1.0 + eps if kind == SIMULTANEOUS else 1.0)
@@ -237,10 +257,7 @@ def _pulse_matrices(pulses, kind: str, eps, f):
     parts = {}
     for pulse in pulses:
         if stretch is None and pulse.flipped:
-            raise ValueError(
-                "off-resonance propagators are defined for nonnegative angles only; "
-                "this pulse was built from a negative-angle request"
-            )
+            raise flipped_pulse_error()
         angle = pulse.angle
         if isinstance(angle, np.ndarray):
             key = angle.tobytes()

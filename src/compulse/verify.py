@@ -3,10 +3,13 @@
 Nothing here touches the power-series code path: sequences are composed with
 plain float64 matrix arithmetic over whole error grids, infidelities are
 swept over geometric grids, and error orders and leading coefficients are
-recovered from log-log slopes and small-x extrapolation.  The infidelity is
-taken from the Pauli (sigma) part of the residual unitary rather than from
-1 - |Tr/2|, so it carries no cancellation floor and needs no extended
-precision: results are the same on every platform, whatever its
+recovered from log-log slopes and small-x extrapolation.  Every sweep along
+one error axis goes through :func:`axis_sweep`, which maps the axis to its
+error model (the inverse of ``su2.KIND_AXIS``), takes the sequence's own
+target or the identity for a bare pulse list, and checks and sorts the grid.
+The infidelity is taken from the Pauli (sigma) part of the residual unitary
+rather than from 1 - |Tr/2|, so it carries no cancellation floor and needs
+no extended precision: results are the same on every platform, whatever its
 ``longdouble``.  The degree-3 magnitudes of :func:`crossover_scan` are Taylor
 coefficients read off the same residual on a contour of complex pulse-length
 fractions (:func:`compulse.su2.contour_sigma_norms`).  The whole
@@ -23,13 +26,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .sequences import build
-from .su2 import OFF_RESONANCE, PULSE_LENGTH, SIMULTANEOUS, Pulse, contour_sigma_norms, residual_grid, rotation
+from .su2 import KIND_AXIS, SIMULTANEOUS, Pulse, contour_sigma_norms, residual_grid, rotation
 
 #: sweep defaults: geometric grid and the infidelity window used for fitting
 GRID_MIN, GRID_MAX, GRID_POINTS = 1e-4, 1e-1, 25
 FIT_WINDOW = (1e-14, 1e-2)
 
-_AXIS_KIND = {"eps": PULSE_LENGTH, "f": OFF_RESONANCE}
+_AXIS_KIND = {axis: kind for kind, axis in KIND_AXIS.items()}
 
 
 def geometric_grid(lo: float = GRID_MIN, hi: float = GRID_MAX, n: int = GRID_POINTS) -> np.ndarray:
@@ -64,20 +67,42 @@ def infidelity_grid(pulses, kind: str, eps, f, target: Pulse) -> np.ndarray:
 def infidelity_ld(pulses, kind: str, eps, f, target: Pulse) -> float:
     """Scalar form of :func:`infidelity_grid` at one (eps, f) point.
 
-    The name dates from an extended-precision implementation; it is kept for
-    the public API and for the benchmark, which calls it by name.
+    The name dates from an extended-precision implementation.  It is not
+    exported by the package; it is kept because the benchmark calls and
+    traces it by name.
     """
     return float(infidelity_grid(pulses, kind, eps, f, target))
 
 
-def _axis_sweep(seq, axis: str, target: Pulse | None, grid) -> tuple[np.ndarray, np.ndarray]:
-    """Grid and infidelities of a sweep along one error axis ("eps" or "f")."""
+def _target(seq) -> Pulse:
+    """The sequence's own target, or the identity for a bare pulse list."""
+    return getattr(seq, "target", Pulse(0.0, 0.0))
+
+
+def axis_sweep(seq, axis: str, grid=None) -> tuple[np.ndarray, np.ndarray]:
+    """Grid and infidelities of a sweep along one error axis ("eps" or "f").
+
+    ``grid`` defaults to :func:`geometric_grid`.  It must be 1-D, non-empty,
+    finite and nonnegative, and it comes back sorted ascending, which the
+    fits rely on.
+    """
     if axis not in _AXIS_KIND:
         raise ValueError(f"unknown sweep axis {axis!r}; expected 'eps' or 'f'")
-    target = target or getattr(seq, "target", Pulse(0.0, 0.0))
     grid = geometric_grid() if grid is None else np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"the sweep grid must be a non-empty 1-D array, got shape {grid.shape}")
+    if not (np.isfinite(grid) & (grid >= 0.0)).all():
+        raise ValueError("the sweep grid must hold finite, nonnegative error fractions only")
+    grid = np.sort(grid)
     eps, f = (grid, 0.0) if axis == "eps" else (0.0, grid)
-    return grid, infidelity_grid(seq, _AXIS_KIND[axis], eps, f, target)
+    return grid, infidelity_grid(seq, _AXIS_KIND[axis], eps, f, _target(seq))
+
+
+def _extrapolate(x: np.ndarray, r: np.ndarray) -> float:
+    """Value at x = 0 of the least squares fit of r in (1, x, x^2)."""
+    basis = np.vstack([np.ones_like(x), x, x * x]).T
+    coeffs, *_ = np.linalg.lstsq(basis, r, rcond=None)
+    return float(coeffs[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,16 +125,17 @@ class SweepResult:
     points_used: int
 
 
-def estimate_order(seq, axis: str, target: Pulse | None = None, grid=None) -> SweepResult:
+def estimate_order(seq, axis: str, grid=None) -> SweepResult:
     """Infer the error order of a sequence from a log-log infidelity sweep.
 
     ``axis`` selects the error variable: "eps" sweeps a pure pulse-length
     error, "f" a pure off-resonance error.  Only grid points whose
     infidelity falls inside ``FIT_WINDOW`` enter the fit (below it is
     rounding noise, above it higher orders contaminate the slope); the order
-    is accepted when slope/2 is within 0.1 of an integer.
+    is accepted when slope/2 is within 0.1 of an integer.  The grid is
+    checked and sorted by :func:`axis_sweep`.
     """
-    grid, infid = _axis_sweep(seq, axis, target, grid)
+    grid, infid = axis_sweep(seq, axis, grid)
     lo, hi = FIT_WINDOW
     keep = (infid >= lo) & (infid <= hi)
     if keep.sum() < 3:
@@ -149,9 +175,7 @@ def estimate_order(seq, axis: str, target: Pulse | None = None, grid=None) -> Sw
     )
 
 
-def fit_leading_coefficient(
-    seq, axis: str, degree: int, target: Pulse | None = None, grid=None
-) -> float:
+def fit_leading_coefficient(seq, axis: str, degree: int) -> float:
     """Fit c in infidelity = c x^degree + ... from the small-x end of a sweep.
 
     The reduced values y/x^degree are extrapolated to x = 0 with a least
@@ -159,7 +183,7 @@ def fit_leading_coefficient(
     correction term.  Points are used only where the infidelity is large
     enough to be clean and small enough that degree+3 terms stay negligible.
     """
-    grid, infid = _axis_sweep(seq, axis, target, grid)
+    grid, infid = axis_sweep(seq, axis)
     floor = FIT_WINDOW[0]
     keep = (infid >= floor) & (infid <= 1e-7)
     if keep.sum() < 3:
@@ -167,10 +191,7 @@ def fit_leading_coefficient(
     if keep.sum() < 3:
         raise ValueError("noise floor reached: too few clean sweep points for a coefficient fit")
     x = grid[keep]
-    r = infid[keep] / x**degree
-    basis = np.vstack([np.ones_like(x), x, x * x]).T
-    coeffs, *_ = np.linalg.lstsq(basis, r, rcond=None)
-    return float(coeffs[0])
+    return _extrapolate(x, infid[keep] / x**degree)
 
 
 @dataclass(frozen=True, slots=True)
@@ -257,18 +278,17 @@ def crossover_scan(names, thetas) -> CrossoverResult:
     return CrossoverResult(thetas, mags, crossover, flagged)
 
 
-def inverse_quality(seq, seq_inv, model_kind: str, grid=None) -> SweepResult:
+def inverse_quality(seq, seq_inv, model_kind: str) -> SweepResult:
     """Order of the residual of seq_inv following seq, against the identity.
 
     Both sequences are concatenated chronologically and swept under the given
     model, "ple" or "ore"; an exact inverse comes back flagged
     ``beyond_resolution``.
     """
-    axis = {PULSE_LENGTH: "eps", OFF_RESONANCE: "f"}.get(model_kind)
+    axis = KIND_AXIS.get(model_kind)
     if axis is None:
         raise ValueError(f"inverse_quality takes model kind 'ple' or 'ore', got {model_kind!r}")
-    pulses = tuple(seq) + tuple(seq_inv)
-    return estimate_order(pulses, axis, target=Pulse(0.0, 0.0), grid=grid)
+    return estimate_order(tuple(seq) + tuple(seq_inv), axis)
 
 
 @dataclass(frozen=True, slots=True)
@@ -289,7 +309,6 @@ def fidelity_surface(
     seq,
     eps_grid=None,
     f_grid=None,
-    target: Pulse | None = None,
     eps_degree: int = 6,
     f_degree: int = 4,
 ) -> SurfaceFit:
@@ -300,14 +319,14 @@ def fidelity_surface(
     both axis contributions, with eps^2 f^4 and eps^4 f^2 nuisance terms
     absorbed by least squares.
     """
-    target = target or getattr(seq, "target", Pulse(0.0, 0.0))
+    target = _target(seq)
     eps_grid = geometric_grid(3e-3, 3e-2, 7) if eps_grid is None else np.asarray(eps_grid, dtype=float)
     f_grid = geometric_grid(3e-3, 3e-2, 7) if f_grid is None else np.asarray(f_grid, dtype=float)
 
     surface = infidelity_grid(seq, SIMULTANEOUS, eps_grid[:, None], f_grid[None, :], target)
 
-    coeff_eps = fit_leading_coefficient(seq, "eps", eps_degree, target=target)
-    coeff_f = fit_leading_coefficient(seq, "f", f_degree, target=target)
+    coeff_eps = fit_leading_coefficient(seq, "eps", eps_degree)
+    coeff_f = fit_leading_coefficient(seq, "f", f_degree)
 
     # Averaging the diagonal cross term over +eps and -eps removes the
     # odd-in-eps piece (an eps f^3 term shares total degree 4 with eps^2 f^2),
@@ -322,8 +341,7 @@ def fidelity_surface(
     if keep.sum() < 3:
         raise ValueError("noise floor reached: cross term not resolvable on this grid")
     xs = xs[keep]
-    basis = np.vstack([np.ones_like(xs), xs, xs * xs]).T
-    coeffs, *_ = np.linalg.lstsq(basis, cross[keep] / xs**4, rcond=None)
+    coeff_cross = _extrapolate(xs, cross[keep] / xs**4)
 
     return SurfaceFit(
         eps_grid,
@@ -333,5 +351,5 @@ def fidelity_surface(
         eps_degree,
         float(coeff_f),
         f_degree,
-        float(coeffs[0]),
+        coeff_cross,
     )

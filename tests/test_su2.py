@@ -17,7 +17,7 @@ from compulse import (
     propagator,
     rotation,
 )
-from compulse import su2
+from compulse import series, su2
 from compulse.sequences import bb1, build
 from compulse.su2 import CONTOUR_EPS, _axis_angle, _chain, pulse_matrix, residual_grid
 from compulse.verify import _PulseColumn, infidelity_grid
@@ -158,9 +158,10 @@ class TestPropagator:
     def test_flipped_pulse_rejected_off_resonance(self):
         p = Pulse(-1.0, 0.0)
         propagator(p, ErrorModel.pulse_length(0.1))  # fine
-        with pytest.raises(ValueError):
+        match = "off-resonance propagators are defined for nonnegative angles only"
+        with pytest.raises(ValueError, match=match):
             propagator(p, ErrorModel.off_resonance(0.1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=match):
             propagator(p, ErrorModel.simultaneous(0.1, 0.1))
 
     @given(theta=ANGLES, phi=PHASES, eps=SMALL, f=SMALL)
@@ -426,3 +427,9 @@ class TestPulseLoop:
             pulse_matrix(corpse.pulses[0], kind, 0.1, 0.0)
         with pytest.raises(ValueError, match=match):
             residual_grid([], kind, 0.0, 0.01, su2.IDENTITY)
+        with pytest.raises(ValueError, match=match):
+            series.propagator_series(corpse.pulses[0], kind, 2)
+        with pytest.raises(ValueError, match=match):
+            series.residual(corpse.pulses, corpse.target, kind, 2)
+        with pytest.raises(ValueError, match=match):
+            ErrorModel(kind)

@@ -47,7 +47,7 @@ class TestEstimateOrder:
             *ple_pure_error("x1", 0.7).pulses,
             *ple_pure_error("x1inv", 0.7).pulses,
         )
-        sweep = estimate_order(pulses, "eps", target=Pulse(0.0, 0.0))
+        sweep = estimate_order(pulses, "eps")
         assert sweep.beyond_resolution
         assert sweep.order is None
 
@@ -55,6 +55,34 @@ class TestEstimateOrder:
         grid = geometric_grid(1e-3, 3e-2, 10)
         sweep = estimate_order(build("sk1", PI), "eps", grid=grid)
         assert sweep.order == 2
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_unsorted_grid_sorted_first(self, order):
+        # the fit is trimmed from the large-x end, so it needs an ascending grid
+        seq = build("corpse", math.radians(150.0))
+        grid = geometric_grid(1e-3, 1e-1, 17)
+        ascending = estimate_order(seq, "f", grid=grid)
+        assert ascending.values.tobytes() == grid.tobytes()
+        shuffled = grid[::-1] if order == "reversed" else np.random.default_rng(3).permutation(grid)
+        sweep = estimate_order(seq, "f", grid=shuffled)
+        assert sweep.values.tobytes() == grid.tobytes()
+        assert sweep.infidelities.tobytes() == ascending.infidelities.tobytes()
+        assert (sweep.slope, sweep.order, sweep.points_used) == (ascending.slope, 2, ascending.points_used)
+
+    @pytest.mark.parametrize(
+        "grid,match",
+        [
+            ([], "non-empty 1-D"),
+            ([[1e-3, 1e-2], [2e-2, 3e-2]], "non-empty 1-D"),
+            ([1e-3, -1e-2, 2e-2, 5e-2], "finite, nonnegative"),
+            ([1e-3, float("nan"), 1e-2, 2e-2, 5e-2], "finite, nonnegative"),
+            ([1e-3, 1e-2, float("inf")], "finite, nonnegative"),
+        ],
+        ids=["empty", "2-D", "negative", "nan", "inf"],
+    )
+    def test_bad_grid_rejected(self, grid, match):
+        with pytest.raises(ValueError, match=match):
+            estimate_order(build("bb1", PI), "eps", grid=grid)
 
     @pytest.mark.parametrize("axis", ["x", "epsilon", "ple"])
     def test_unknown_axis_rejected(self, axis):
@@ -115,7 +143,7 @@ class TestFitLeadingCoefficient:
             *ple_pure_error("x1inv", 0.7).pulses,
         )
         with pytest.raises(ValueError):
-            fit_leading_coefficient(pulses, "eps", 2, target=Pulse(0.0, 0.0))
+            fit_leading_coefficient(pulses, "eps", 2)
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-3])
     def test_bb1_resolved_below_1e16(self, eps):
@@ -279,7 +307,9 @@ class TestContour:
             for part in (np.real, np.imag):
                 assert np.all(np.abs(part(analytic) - part(real)) <= np.spacing(np.abs(part(real))))
 
-    @pytest.mark.parametrize("module", [compulse.verify, compulse.sequences], ids=["verify.py", "sequences.py"])
+    @pytest.mark.parametrize(
+        "module", [compulse.verify, compulse.sequences, compulse.su2], ids=["verify.py", "sequences.py", "su2.py"]
+    )
     def test_verify_does_not_import_series(self, module):
         with open(module.__file__, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
