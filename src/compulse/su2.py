@@ -19,8 +19,11 @@ Cauchy sum; both the phase solver in ``sequences`` and the crossover scan in
 The grid pulse loop behind :func:`residual_grid` splits each propagator into
 an angle part (the modulus, cosine and sine) and a phase part.  Composite
 sequences repeat a few angles at many phases, so the angle part is evaluated
-once per distinct angle and shared by every pulse of that angle; each matrix
-is still the one a lone pulse gives, bit for bit.
+once per distinct angle and shared by every pulse of that angle.  The phase
+parts of a batch of consecutive pulses are built in one step, on arrays with
+a leading pulse axis; a batch covers about ``_BATCH_POINTS`` grid points, so a
+scalar point builds its whole sequence at once and a large grid goes pulse by
+pulse.  Each matrix is still the one a lone pulse gives, bit for bit.
 
 All matrices are plain complex numpy arrays, all functions are pure, and the
 small value types are frozen dataclasses, so everything is safe to share
@@ -62,6 +65,9 @@ def _contour(points: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 CONTOUR_EPS = _contour(CONTOUR_POINTS)[0]
+
+#: grid points (pulses times points per pulse) whose phase parts the pulse loop builds in one step
+_BATCH_POINTS = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,12 +186,16 @@ def _angle_part(theta, m, f) -> tuple:
     return c, s, s * f
 
 
-def _phase_part(c, s, sz, phi, w) -> np.ndarray:
-    """The rotation with angle part (c, s, s f) about the axis of phase ``phi``."""
+def _phase_trig(phi) -> tuple:
+    """cos(phi) and sin(phi): ``math`` for a float phase, numpy for an array."""
     if isinstance(phi, np.ndarray):
-        cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-    else:
-        cos_phi, sin_phi = math.cos(phi), math.sin(phi)
+        return np.cos(phi), np.sin(phi)
+    return math.cos(phi), math.sin(phi)
+
+
+def _phase_part(c, s, sz, cos_phi, sin_phi, w) -> np.ndarray:
+    """The rotation with angle part (c, s, s f) about the axis of phase phi,
+    given cos(phi) and sin(phi)."""
     sx = s * (w * cos_phi)
     sy = s * (w * sin_phi)
     # sx carries the broadcast shape of every argument
@@ -225,7 +235,7 @@ def _axis_angle(theta, phi, w, f) -> np.ndarray:
     in m.  That is what lets contour integrals in the error fraction read off
     Taylor coefficients.
     """
-    return _phase_part(*_angle_part(theta, _modulus(w, f), f), phi, w)
+    return _phase_part(*_angle_part(theta, _modulus(w, f), f), *_phase_trig(phi), w)
 
 
 def rotation(theta: float, phi: float) -> np.ndarray:
@@ -246,15 +256,21 @@ def _pulse_matrices(pulses, kind: str, eps, f):
     :func:`_axis_angle` once per distinct pulse angle: composite sequences
     repeat a few angles at many phases.  A pulse's angle is keyed by its
     value, or by its bytes when it is an array column of several sequences.
-    Each yielded matrix equals the one :func:`_axis_angle` gives for that
-    pulse alone, bit for bit.
+
+    The phase part is built for a batch of consecutive pulses at once: their
+    angle parts are stacked along a leading pulse axis, and one
+    :func:`_phase_part` call makes all their matrices.  A batch holds
+    ``max(1, _BATCH_POINTS // grid points)`` pulses, so a scalar point or a
+    contour builds a whole sequence in one step, while a large grid goes one
+    pulse at a time and its stacks stay small.  Each yielded matrix equals the
+    one :func:`_axis_angle` gives for that pulse alone, bit for bit.
     """
     if kind_of(kind) == PULSE_LENGTH:
         stretch, w, f = 1.0 + eps, 1.0, 0.0
     else:
         stretch, w = None, (1.0 + eps if kind == SIMULTANEOUS else 1.0)
     m = _modulus(w, f)
-    parts = {}
+    parts, batch, size = {}, [], None
     for pulse in pulses:
         if stretch is None and pulse.flipped:
             raise flipped_pulse_error()
@@ -267,7 +283,27 @@ def _pulse_matrices(pulses, kind: str, eps, f):
         part = parts.get(key)
         if part is None:
             part = parts[key] = _angle_part(angle if stretch is None else angle * stretch, m, f)
-        yield _phase_part(*part, pulse.phase, w)
+        if size is None:
+            size = max(1, _BATCH_POINTS // max(part[0].size, 1))
+        batch.append((part, _phase_trig(pulse.phase)))
+        if len(batch) == size:
+            yield from _phase_batch(batch, w)
+            batch = []
+    if batch:
+        yield from _phase_batch(batch, w)
+
+
+def _phase_batch(batch, w):
+    """The matrices of a batch of (angle part, phase trig) pairs, in order."""
+    if len(batch) == 1:
+        part, trig = batch[0]
+        return (_phase_part(*part, *trig, w),)
+    parts, trigs = zip(*batch)
+    c, s, sz = (np.array(column) for column in zip(*parts))
+    cos_phi, sin_phi = (np.array(column) for column in zip(*trigs))
+    # float phases give one value per pulse: align it with the pulse axis of c
+    lead = cos_phi.shape + (1,) * (c.ndim - cos_phi.ndim)
+    return _phase_part(c, s, sz, cos_phi.reshape(lead), sin_phi.reshape(lead), w)
 
 
 def pulse_matrix(pulse: Pulse, kind: str, eps, f) -> np.ndarray:
@@ -322,7 +358,9 @@ def residual_grid(pulses, kind: str, eps, f, u: np.ndarray) -> np.ndarray:
     sequences.  U is the ideal target matrix, or a stack of them that
     broadcasts against V.  W has the broadcast shape followed by (2, 2).
     The modulus, cosine and sine of the angle part are evaluated once per
-    distinct pulse angle, not once per pulse (see :func:`_pulse_matrices`).
+    distinct pulse angle, not once per pulse, and the phase parts of a batch
+    of pulses in one step (see :func:`_pulse_matrices`); the product is then
+    taken pulse by pulse, so W does not depend on the batching.
     """
     w = _chain(_pulse_matrices(pulses, kind, eps, f))
     return w @ np.swapaxes(u.conj(), -1, -2)

@@ -74,6 +74,20 @@ def infidelity_ld(pulses, kind: str, eps, f, target: Pulse) -> float:
     return float(infidelity_grid(pulses, kind, eps, f, target))
 
 
+def _checked_grid(values, what: str, nonnegative: bool = False) -> np.ndarray:
+    """``values`` as a float array, refused with a ValueError naming ``what``
+    unless it is 1-D, non-empty and finite (and >= 0 when ``nonnegative``)."""
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"the {what} must be a non-empty 1-D array, got shape {grid.shape}")
+    ok = np.isfinite(grid)
+    if nonnegative:
+        ok &= grid >= 0.0
+    if not ok.all():
+        raise ValueError(f"the {what} must hold finite{', nonnegative' if nonnegative else ''} values only")
+    return grid
+
+
 def _target(seq) -> Pulse:
     """The sequence's own target, or the identity for a bare pulse list."""
     return getattr(seq, "target", Pulse(0.0, 0.0))
@@ -88,12 +102,7 @@ def axis_sweep(seq, axis: str, grid=None) -> tuple[np.ndarray, np.ndarray]:
     """
     if axis not in _AXIS_KIND:
         raise ValueError(f"unknown sweep axis {axis!r}; expected 'eps' or 'f'")
-    grid = geometric_grid() if grid is None else np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError(f"the sweep grid must be a non-empty 1-D array, got shape {grid.shape}")
-    if not (np.isfinite(grid) & (grid >= 0.0)).all():
-        raise ValueError("the sweep grid must hold finite, nonnegative error fractions only")
-    grid = np.sort(grid)
+    grid = geometric_grid() if grid is None else np.sort(_checked_grid(grid, "sweep grid", nonnegative=True))
     eps, f = (grid, 0.0) if axis == "eps" else (0.0, grid)
     return grid, infidelity_grid(seq, _AXIS_KIND[axis], eps, f, _target(seq))
 
@@ -244,11 +253,7 @@ def crossover_scan(names, thetas) -> CrossoverResult:
     names = list(names)
     if len(names) < 2:
         raise ValueError("need at least two variants to compare")
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 1 or thetas.size == 0:
-        raise ValueError(f"the angle grid must be a non-empty 1-D array, got shape {thetas.shape}")
-    if not np.isfinite(thetas).all():
-        raise ValueError("the angle grid must hold finite angles only")
+    thetas = _checked_grid(thetas, "angle grid")
     mags = {name: _degree3_magnitudes(name, thetas) for name in names}
 
     a, b = names[0], names[1]
@@ -317,11 +322,12 @@ def fidelity_surface(
     The two axis coefficients come from 1-D fits along the grid edges; the
     eps^2 f^2 cross coefficient is fitted on the diagonal after subtracting
     both axis contributions, with eps^2 f^4 and eps^4 f^2 nuisance terms
-    absorbed by least squares.
+    absorbed by least squares.  ``eps_grid`` and ``f_grid`` must be 1-D,
+    non-empty and finite; unlike a 1-D sweep they may hold signed fractions.
     """
     target = _target(seq)
-    eps_grid = geometric_grid(3e-3, 3e-2, 7) if eps_grid is None else np.asarray(eps_grid, dtype=float)
-    f_grid = geometric_grid(3e-3, 3e-2, 7) if f_grid is None else np.asarray(f_grid, dtype=float)
+    eps_grid = geometric_grid(3e-3, 3e-2, 7) if eps_grid is None else _checked_grid(eps_grid, "eps grid")
+    f_grid = geometric_grid(3e-3, 3e-2, 7) if f_grid is None else _checked_grid(f_grid, "f grid")
 
     surface = infidelity_grid(seq, SIMULTANEOUS, eps_grid[:, None], f_grid[None, :], target)
 

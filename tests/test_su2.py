@@ -361,10 +361,14 @@ class TestAxisAngleBatch:
 
 
 class TestPulseLoop:
-    """The grid pulse loop shares each distinct angle's trig, bit for bit."""
+    """The grid pulse loop shares each distinct angle's trig and builds batches
+    of pulses at once, bit for bit."""
 
     GRIDS = {
+        "scalar": 0.013,
         "1-D": np.geomspace(1e-4, 1e-1, 9),
+        # 10 pulses per batch: sk3 and or-second-xz span several
+        "100 points": np.geomspace(1e-4, 1e-1, 100),
         "(E,1)x(1,F)": (np.linspace(-0.1, 0.1, 5)[:, None], np.geomspace(1e-3, 1e-1, 4)[None, :]),
         "contour": CONTOUR_EPS,
     }
@@ -375,6 +379,13 @@ class TestPulseLoop:
             return grid
         # the grid on the fraction(s) the model carries
         return {"ple": (grid, 0.0), "ore": (0.0, grid), "sim": (grid, grid / 2.0)}[kind]
+
+    @staticmethod
+    def _lone_pulse(pulse, kind, eps, f):
+        """One pulse's matrix from the closed form, outside the pulse loop."""
+        if kind == "ple":
+            return _axis_angle(pulse.angle * (1.0 + eps), pulse.phase, 1.0, 0.0)
+        return _axis_angle(pulse.angle, pulse.phase, 1.0 + eps if kind == "sim" else 1.0, f)
 
     @pytest.mark.parametrize("grid", list(GRIDS), ids=list(GRIDS))
     @pytest.mark.parametrize("kind", ["ple", "ore", "sim"])
@@ -388,6 +399,8 @@ class TestPulseLoop:
         got = residual_grid(seq.pulses, kind, eps, f, u)
         want = _chain(pulse_matrix(p, kind, eps, f) for p in seq) @ u.conj().T
         assert np.array_equal(got, want)
+        lone = _chain(self._lone_pulse(p, kind, eps, f) for p in seq) @ u.conj().T
+        assert np.array_equal(got, lone)
 
     @pytest.mark.parametrize("eps", [np.geomspace(1e-4, 1e-1, 7), CONTOUR_EPS], ids=["real", "contour"])
     def test_pulse_columns_with_repeated_angles(self, eps):
@@ -396,10 +409,43 @@ class TestPulseLoop:
         table = np.array([[(p.angle, p.phase) for p in seq] for seq in seqs])
         columns = [_PulseColumn(table[:, j, 0, None], table[:, j, 1, None]) for j in range(table.shape[1])]
         assert len({c.angle.tobytes() for c in columns}) < len(columns)
+        # 17 columns: one batch on the real grid, batches of 8, 8 and 1 on the contour
         u = np.stack([su2.rotation(seq.target.angle, seq.target.phase) for seq in seqs])[:, None]
         got = residual_grid(columns, "ple", eps, 0.0, u)
         want = _chain(pulse_matrix(c, "ple", eps, 0.0) for c in columns) @ np.swapaxes(u.conj(), -1, -2)
         assert np.array_equal(got, want)
+        lone = _chain(self._lone_pulse(c, "ple", eps, 0.0) for c in columns) @ np.swapaxes(u.conj(), -1, -2)
+        assert np.array_equal(got, lone)
+
+    @pytest.fixture
+    def phase_part_calls(self, monkeypatch):
+        """The leading shape of the c argument of every _phase_part call."""
+        calls, phase_part = [], su2._phase_part
+        monkeypatch.setattr(su2, "_phase_part", lambda *args: calls.append(np.shape(args[0])) or phase_part(*args))
+        return calls
+
+    @pytest.mark.parametrize("kind", ["ple", "ore", "sim"])
+    def test_scalar_point_is_one_batch(self, kind, phase_part_calls):
+        seq = build("sk3", math.pi)
+        residual_grid(seq.pulses, kind, 0.013, 0.007, su2.IDENTITY)
+        assert phase_part_calls == [(24,)]
+
+    def test_contour_batches(self, phase_part_calls):
+        # or-second-xz's 35 pulses against 32 nodes: full batches, then the rest
+        seq = build("or-second-xz", math.pi)
+        residual_grid(seq.pulses, "ore", 0.0, CONTOUR_EPS, su2.IDENTITY)
+        size = su2._BATCH_POINTS // len(CONTOUR_EPS)
+        assert size < len(seq.pulses)
+        full, rest = divmod(len(seq.pulses), size)
+        assert phase_part_calls == [(size, 32)] * full + [(rest, 32)] * (rest > 0)
+
+    def test_large_column_grid_goes_pulse_by_pulse(self, phase_part_calls):
+        # angle-scan's 24-angle grids: stacking their pulses would multiply peak memory
+        seqs = [build("sk2rot", theta) for theta in np.radians(np.linspace(140.0, 180.0, 24))]
+        table = np.array([[(p.angle, p.phase) for p in seq] for seq in seqs])
+        columns = [_PulseColumn(table[:, j, 0, None], table[:, j, 1, None]) for j in range(table.shape[1])]
+        residual_grid(columns, "ple", CONTOUR_EPS, 0.0, su2.IDENTITY)
+        assert phase_part_calls == [(24, 32)] * len(columns)
 
     def test_signed_zero_angles_keep_their_own_matrices(self):
         pulses = [Pulse(0.0, 0.4), Pulse(-0.0, 0.4)]

@@ -383,6 +383,28 @@ class TestFidelitySurface:
     def test_grid_shape(self, surface):
         assert surface.infidelity.shape == (len(surface.eps_grid), len(surface.f_grid))
 
+    @pytest.mark.parametrize(
+        "eps_grid,f_grid,match",
+        [
+            ([], [], "eps grid must be a non-empty 1-D array"),
+            ([math.nan, -0.01], None, "eps grid must hold finite values"),
+            ([[0.01, 0.02]], None, "eps grid must be a non-empty 1-D array"),
+            (None, [3e-3, math.inf], "f grid must hold finite values"),
+        ],
+        ids=["empty", "nan", "2-D", "inf-f"],
+    )
+    def test_bad_grid_rejected(self, eps_grid, f_grid, match):
+        # these used to come back as a (0, 0) table, a NaN row, a (1, 1, 2) table and a NaN column
+        with pytest.raises(ValueError, match=match):
+            fidelity_surface(build("simultaneous", PI), eps_grid, f_grid)
+
+    def test_signed_grid_allowed(self):
+        # unlike a 1-D sweep, the table takes signed fractions, as its cross fit does
+        eps, f = np.array([-2e-2, 3e-3, 1e-2]), np.array([5e-3, -1e-2])
+        sf = fidelity_surface(build("simultaneous", PI), eps, f)
+        assert sf.eps_grid.tobytes() == eps.tobytes() and sf.f_grid.tobytes() == f.tobytes()
+        assert sf.infidelity.shape == (3, 2) and np.isfinite(sf.infidelity).all()
+
     def test_grid_matches_pointwise(self):
         seq = build("simultaneous", PI)
         eps = np.array([-2e-2, 1e-4, 3e-3])[:, None]

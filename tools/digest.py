@@ -1,0 +1,215 @@
+"""Print one SHA-256 per output family of compulse, to check that a change keeps every bit.
+
+Run it from any directory on two checkouts and compare the lines:
+
+    python3 tools/digest.py            # every family
+    python3 tools/digest.py --no-cli   # skip the README CLI commands (fresh processes)
+
+It imports compulse from ``src/`` of the checkout it lives in and reads only
+the package's public names and ``compulse.su2``.  Each family hashes the dtype,
+shape and raw bytes of every array, the ``repr`` of every float, and the
+message of every refused input, in a fixed order, so equal digests mean equal
+bits.  The families:
+
+- ``infidelity_grid``: every catalog entry at 180, 37 and 123 degrees under
+  ple, ore and sim, on a scalar point, a 1-D grid, an (E,1)x(1,F) grid and a
+  complex contour;
+- ``su2``: ``pulse_matrix``, ``propagator``, ``compose`` and ``residual_grid``
+  of the same sequences;
+- ``contour_sigma_norms``: 32 and 64 nodes, the same sequences;
+- ``crossover_scan``: the README range plus 45 seeded random angle grids;
+- ``fits``: ``estimate_order`` on both axes, ``fit_leading_coefficient`` at
+  each found order and ``fidelity_surface``, over the catalog;
+- ``cli``: exit code, stdout and written files of the README commands.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
+
+from compulse import (  # noqa: E402
+    CATALOG,
+    ErrorModel,
+    build,
+    compose,
+    crossover_scan,
+    estimate_order,
+    fidelity_surface,
+    fit_leading_coefficient,
+    propagator,
+)
+from compulse import su2  # noqa: E402
+from compulse.verify import infidelity_grid  # noqa: E402
+
+THETAS = (math.pi, math.radians(37.0), math.radians(123.0))
+KINDS = ("ple", "ore", "sim")
+REAL = np.geomspace(1e-4, 1e-1, 25)
+GRIDS = {
+    "scalar": lambda kind: (0.013, 0.007),
+    "1-D": lambda kind: {"ple": (REAL, 0.0), "ore": (0.0, REAL), "sim": (REAL, REAL / 3.0)}[kind],
+    "(E,1)x(1,F)": lambda kind: (np.linspace(-0.1, 0.1, 9)[:, None], np.geomspace(1e-3, 1e-1, 6)[None, :]),
+    "contour": lambda kind: (su2.CONTOUR_EPS, su2.CONTOUR_EPS / 2.0),
+}
+
+README_COMMANDS = (
+    ("synth", "bb1", "--theta", "90"),
+    ("synth", "corpse", "--theta", "180", "--out", "corpse.json"),
+    ("verify", "bb1", "--model", "ple", "--expect-order", "3"),
+    ("verify", "corpse.json", "--expect-order", "2"),
+    ("verify", "sk3", "--order", "4", "--json"),
+    ("sweep", "bb1", "--model", "ple", "--grid", "1e-4:1e-1:25", "--out", "sweep.csv"),
+    ("sweep", "simultaneous", "--grid", "1e-3:1e-1:15"),
+    ("compare", "--variants", "bb1", "sk2rot", "--theta-range", "10:180:86"),
+)
+
+
+class Digest:
+    """SHA-256 over a stream of arrays, floats, strings and refused calls."""
+
+    def __init__(self) -> None:
+        self.sha, self.count = hashlib.sha256(), 0
+
+    def add(self, value) -> None:
+        self.count += 1
+        if isinstance(value, (bytes, str)):
+            self.sha.update(value.encode() if isinstance(value, str) else value)
+        elif isinstance(value, (float, int, bool, type(None))):
+            self.sha.update(repr(value).encode())
+        else:
+            a = np.ascontiguousarray(value)
+            self.sha.update(f"{a.dtype.str}{a.shape}".encode())
+            self.sha.update(a.tobytes())
+
+    def call(self, fn, *args) -> None:
+        """Add ``fn(*args)``, or the message of the ValueError it raises."""
+        try:
+            self.add(fn(*args))
+        except ValueError as exc:
+            self.add(f"ValueError: {exc}")
+
+    def line(self, name: str) -> str:
+        return f"{name:22s} {self.sha.hexdigest()}  ({self.count} outputs)"
+
+
+def _sequences():
+    """Every catalog entry at every angle of ``THETAS`` that it is defined at."""
+    out = []
+    for name in CATALOG:
+        for theta in THETAS:
+            try:
+                out.append((name, build(name, theta)))
+            except ValueError:  # sk3 and some off-resonance entries take 180 degrees only
+                pass
+    return out
+
+
+def grid_families() -> list[str]:
+    infid, mats, norms = Digest(), Digest(), Digest()
+    for _, seq in _sequences():
+        u = su2.rotation(seq.target.angle, seq.target.phase)
+        for kind in KINDS:
+            for grid in GRIDS.values():
+                eps, f = grid(kind)
+                infid.call(infidelity_grid, seq, kind, eps, f, seq.target)
+                mats.call(su2.residual_grid, seq.pulses, kind, eps, f, u)
+            mats.call(su2.pulse_matrix, seq.pulses[0], kind, 0.013, 0.007)
+            model = {"ple": ErrorModel.pulse_length(0.013), "ore": ErrorModel.off_resonance(0.007),
+                     "sim": ErrorModel.simultaneous(0.013, 0.007)}[kind]
+            mats.call(propagator, seq.pulses[-1], model)
+            mats.call(compose, seq, model)
+        for points in (32, 64):
+            norms.call(su2.contour_sigma_norms, seq.pulses, u, points)
+    return [infid.line("infidelity_grid"), mats.line("su2"), norms.line("contour_sigma_norms")]
+
+
+def _scan(d: Digest, names, thetas) -> float | None:
+    try:
+        result = crossover_scan(names, thetas)
+    except ValueError as exc:
+        d.add(f"ValueError: {exc}")
+        return None
+    d.add(result.thetas)
+    for name in names:
+        d.add(result.magnitudes[name])
+    d.add(result.crossover_theta)
+    d.add(result.flagged)
+    return result.crossover_theta
+
+
+def crossover_family() -> list[str]:
+    d = Digest()
+    readme = _scan(d, ("bb1", "sk2rot"), np.radians(np.linspace(10.0, 180.0, 86)))
+    rng = np.random.default_rng(20071108)
+    pairs = (("bb1", "sk2rot"), ("sk2", "sk2rot"), ("sk2", "bb1"))
+    for i in range(45):
+        lo = rng.uniform(10.0, 170.0)
+        hi = rng.uniform(lo + 1.0, 180.0)
+        _scan(d, pairs[i % 3], np.radians(np.linspace(lo, hi, int(rng.integers(2, 31)))))
+    return [d.line("crossover_scan"), f"{'readme crossover':22s} {readme!r}"]
+
+
+def fit_family() -> list[str]:
+    d = Digest()
+    for name, seq in _sequences():
+        for axis in ("eps", "f"):
+            try:
+                r = estimate_order(seq, axis)
+            except ValueError as exc:
+                d.add(f"ValueError: {exc}")
+                continue
+            for value in (r.values, r.infidelities, r.slope, r.intercept, r.order, r.ambiguous,
+                          r.beyond_resolution, r.fit_residual, r.points_used):
+                d.add(value)
+            if r.order is not None:
+                d.call(fit_leading_coefficient, seq, axis, 2 * r.order)
+        if name == "simultaneous" or seq.target_theta == math.pi:
+            try:
+                s = fidelity_surface(seq)
+            except ValueError as exc:
+                d.add(f"ValueError: {exc}")
+                continue
+            for value in (s.eps_grid, s.f_grid, s.infidelity, s.coeff_eps, s.coeff_f, s.coeff_cross):
+                d.add(value)
+    return [d.line("fits")]
+
+
+def cli_family() -> list[str]:
+    d = Digest()
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in README_COMMANDS:
+            run = subprocess.run([sys.executable, "-m", "compulse.cli", *argv], cwd=tmp, env=env,
+                                 capture_output=True)
+            d.add(" ".join(argv))
+            d.add(run.returncode)
+            d.add(run.stdout)
+        for name in sorted(os.listdir(tmp)):
+            d.add(name)
+            d.add(Path(tmp, name).read_bytes())
+    return [d.line("cli")]
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--no-cli", action="store_true", help="skip the README CLI commands")
+    args = parser.parse_args()
+    lines = grid_families() + crossover_family() + fit_family()
+    if not args.no_cli:
+        lines += cli_family()
+    print("\n".join(lines))
+
+
+if __name__ == "__main__":
+    main()
