@@ -12,7 +12,12 @@ exact inverse of V(theta, phi) under a pure amplitude error, so pure error
 terms of any order can be assembled from 2pi rotations.  Off-resonance
 correction sequences (CORPSE and the sequences built from 90/180 degree
 blocks) only have approximate inverses available, which restricts how error
-terms may be combined and rotated.  Every correction phase is closed form,
+terms may be combined and rotated.  Both families assemble their terms as
+Brown, Harrow & Chuang (PRA 70, 052318, 2004) do: the group commutator
+A B A^-1 B^-1 (product order) is applied chronologically as B^-1, A^-1, B, A,
+one conjugation by erroneous pi/2 pulses about y turns an x term into a z
+term, and the off-resonance primed terms Y1', X1' and Z2' are the pulse lists
+of Y1, X1 and Z2 reversed.  Every correction phase is closed form,
 sk3's included; its one check reads the residual off a contour in ``su2``, so
 nothing here uses the series engine that certifies these sequences.
 
@@ -89,6 +94,19 @@ def _require_pi(theta: float, name: str) -> None:
 
 
 # ---------------------------------------------------------------------------
+# constructions shared by both error families
+
+def _commutator(a, a_inv, b, b_inv):
+    # group commutator A B A^-1 B^-1 in product order: chronologically B^-1, A^-1, B, A
+    return [*b_inv, *a_inv, *b, *a]
+
+
+def _about_y(pulses):
+    # conjugation by erroneous pi/2 pulses about y: moves an x error term onto z
+    return [_p(PI / 2, PI / 2), *pulses, _p(PI / 2, 3 * PI / 2)]
+
+
+# ---------------------------------------------------------------------------
 # pulse-length pure error building blocks (chronological pulse lists)
 
 def _x1(phi):
@@ -109,91 +127,41 @@ def _y1_inv(phi):
 
 
 def _z1(phi):
-    # composite-Z sandwich around the x error term, erroneous pi/2 pulses
-    return [_p(PI / 2, PI / 2), *_x1(phi), _p(PI / 2, 3 * PI / 2)]
+    # composite-Z sandwich around the x error term
+    return _about_y(_x1(phi))
 
 
 def _z1_inv(phi):
-    return [_p(PI / 2, PI / 2), *_x1_inv(phi), _p(PI / 2, 3 * PI / 2)]
-
-
-def _z2(phi):
-    # group commutator X1 Y1 X1^-1 Y1^-1 (product order), chronological
-    return [*_y1_inv(phi), *_x1_inv(phi), *_y1(phi), *_x1(phi)]
-
-
-def _z2_prime(phi):
-    # exact inverse of _z2: opposite-sign second-order z error
-    return [*_x1_inv(phi), *_y1_inv(phi), *_x1(phi), *_y1(phi)]
+    return _about_y(_x1_inv(phi))
 
 
 def _z2_general(alpha, beta):
-    return [*_y1_inv(beta), *_x1_inv(alpha), *_y1(beta), *_x1(alpha)]
+    # X1(alpha) Y1(beta) X1^-1 Y1^-1: z error of size 8 pi^2 cos(alpha) cos(beta)
+    return _commutator(_x1(alpha), _x1_inv(alpha), _y1(beta), _y1_inv(beta))
+
+
+def _z2(phi):
+    return _z2_general(phi, phi)
+
+
+def _z2_prime(phi):
+    # Y1 X1 Y1^-1 X1^-1, the exact inverse of _z2: opposite-sign second-order z error
+    return _commutator(_y1(phi), _y1_inv(phi), _x1(phi), _x1_inv(phi))
 
 
 def _six_pulse_z2(beta):
     # V(2pi,0) Y1(beta) V(2pi,pi) Y1^-1(beta): the unscaled x term saves two pulses
-    return [*_y1_inv(beta), _p(TWO_PI, PI), *_y1(beta), _p(TWO_PI, 0.0)]
+    return _commutator([_p(TWO_PI, 0.0)], [_p(TWO_PI, PI)], _y1(beta), _y1_inv(beta))
 
 
 def _x2_prime(phi):
     # Z1 Y1 Z1^-1 Y1^-1: second-order x error from z and y first-order terms
-    return [*_y1_inv(phi), *_z1_inv(phi), *_y1(phi), *_z1(phi)]
+    return _commutator(_z1(phi), _z1_inv(phi), _y1(phi), _y1_inv(phi))
 
 
 def _x3(phi):
     # Y1 Z2 Y1^-1 Z2^-1 with Z2^-1 = Z2'; third-order x error
-    return [*_z2_prime(phi), *_y1_inv(phi), *_z2(phi), *_y1(phi)]
-
-
-_PLE_PURE = {
-    "x1": _x1,
-    "y1": _y1,
-    "x1inv": _x1_inv,
-    "y1inv": _y1_inv,
-    "z1": _z1,
-    "z2": _z2,
-    "z2prime": _z2_prime,
-    "x2prime": _x2_prime,
-    "x3": _x3,
-}
-
-
-def ple_pure_error(kind: str, *angles: float) -> PulseSequence:
-    """Pure error term for pulse length errors.
-
-    Kinds taking one phase: ``x1``, ``y1``, ``x1inv``, ``y1inv``, ``z1``,
-    ``z2``, ``z2prime``, ``x2prime``, ``x3``, ``six_pulse_z2``.  The kind
-    ``z2general`` takes two phases (alpha, beta) and produces a second-order
-    z error of size 8 pi^2 cos(alpha) cos(beta).
-    """
-    if kind == "z2general":
-        if len(angles) != 2:
-            raise ValueError("z2general takes exactly two phases (alpha, beta)")
-        alpha, beta = angles
-        pulses = _z2_general(alpha, beta)
-        meta = {"alpha": alpha, "beta": beta}
-    elif kind == "six_pulse_z2":
-        if len(angles) != 1:
-            raise ValueError("six_pulse_z2 takes exactly one phase (beta)")
-        (beta,) = angles
-        pulses = _six_pulse_z2(beta)
-        meta = {"beta": beta}
-    elif kind in _PLE_PURE:
-        if len(angles) != 1:
-            raise ValueError(f"{kind} takes exactly one phase")
-        (phi,) = angles
-        pulses = _PLE_PURE[kind](phi)
-        meta = {"phi": phi}
-    else:
-        raise ValueError(f"unknown pulse-length pure error kind {kind!r}")
-    return PulseSequence(
-        name=f"ple-{kind}",
-        target_theta=0.0,
-        pulses=tuple(pulses),
-        model_kind=PULSE_LENGTH,
-        metadata=meta,
-    )
+    return _commutator(_y1(phi), _y1_inv(phi), _z2(phi), _z2_prime(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -251,22 +219,23 @@ def _sk2(theta: float) -> PulseSequence:
 def _sk2rot(theta: float) -> PulseSequence:
     """sk2 with its z term built by conjugating an x term with erroneous pi/2 pulses."""
     p1, p2 = _phi1(theta), _phi2(theta)
-    rotated = [_p(PI / 2, PI / 2), *_x2_prime(p2), _p(PI / 2, 3 * PI / 2)]
-    pulses = [_p(theta, 0.0), *_x1(p1), *rotated]
+    pulses = [_p(theta, 0.0), *_x1(p1), *_about_y(_x2_prime(p2))]
     return PulseSequence(
         "sk2rot", theta, tuple(pulses), PULSE_LENGTH, metadata={"phi1": p1, "phi2": p2}
     )
+
+
+def _sk3_pulses(phi3: float, delta: float) -> tuple[Pulse, ...]:
+    # the one sk3 pulse list: the solver checks it and _sk3 returns it
+    return (*bb1(PI).pulses, *(Pulse(p.angle, p.phase + delta) for p in _x3(phi3)))
 
 
 def _sk3(theta: float) -> PulseSequence:
     """bb1(pi) then X3(phi3) with every phase shifted by delta: fourth order, 180 only."""
     _require_pi(theta, "sk3")
     phi3, delta = solve_third_order()
-    base = bb1(PI)
-    tail = [Pulse(p.angle, p.phase + delta) for p in _x3(phi3)]
-    pulses = [*base.pulses, *tail]
-    meta = dict(base.metadata, phi3=phi3, delta=delta)
-    return PulseSequence("sk3", PI, tuple(pulses), PULSE_LENGTH, metadata=meta)
+    meta = dict(bb1(PI).metadata, phi3=phi3, delta=delta)
+    return PulseSequence("sk3", PI, _sk3_pulses(phi3, delta), PULSE_LENGTH, metadata=meta)
 
 
 @lru_cache(maxsize=1)
@@ -287,8 +256,7 @@ def solve_third_order(tol: float = 1e-12) -> tuple[float, float]:
     """
     phi3 = math.acos((math.sqrt(40.0) / 2048.0) ** (1.0 / 3.0))
     delta = math.atan2(math.sqrt(15.0), -5.0)
-    pulses = [*bb1(PI).pulses, *(Pulse(p.angle, p.phase + delta) for p in _x3(phi3))]
-    norm = float(contour_sigma_norms(pulses, rotation(PI, 0.0), points=64)[1:].max())
+    norm = float(contour_sigma_norms(_sk3_pulses(phi3, delta), rotation(PI, 0.0), points=64)[1:].max())
     if not norm < tol:
         raise SolverFailure(
             f"third-order phase solver: |residual| {norm:.3e} at the closed-form root "
@@ -310,10 +278,6 @@ def _b1(phi):
     return [_p(phi, 0.0), _p(2.0 * phi, PI), _p(phi, 0.0)]
 
 
-def _y1p_or(phi):
-    return [_p(PI, PI - phi), _p(PI, -phi), _p(PI, PI + phi), _p(PI, phi)]
-
-
 def _x1_or(phi):
     return [_p(PI, 3 * PI / 2 + phi), _p(PI, PI / 2 + phi), _p(PI, 3 * PI / 2 - phi), _p(PI, PI / 2 - phi)]
 
@@ -322,34 +286,89 @@ def _y1_or(phi):
     return [_p(PI, phi), _p(PI, PI + phi), _p(PI, -phi), _p(PI, PI - phi)]
 
 
+# The primed terms are the unprimed pulse lists reversed: approximate
+# inverses under off-resonance errors.
+
 def _x1p_or(phi):
-    # reversed pulse order of _x1_or: approximate inverse under off-resonance errors
-    return [_p(PI, PI / 2 - phi), _p(PI, 3 * PI / 2 - phi), _p(PI, PI / 2 + phi), _p(PI, 3 * PI / 2 + phi)]
+    return _x1_or(phi)[::-1]
+
+
+def _y1p_or(phi):
+    return _y1_or(phi)[::-1]
 
 
 def _z2_or(phi):
-    return [*_y1p_or(phi), *_x1p_or(phi), *_y1_or(phi), *_x1_or(phi)]
+    return _commutator(_x1_or(phi), _x1p_or(phi), _y1_or(phi), _y1p_or(phi))
 
 
 def _z2p_or(phi):
-    return [*_x1p_or(phi), *_y1p_or(phi), *_x1_or(phi), *_y1_or(phi)]
+    return _z2_or(phi)[::-1]
 
 
 def _x2_or(phi):
     # Y1 B1(pi/2) Y1' B1(3pi/2): B1(3pi/2) is a good inverse for B1(pi/2)
-    return [*_b1(3 * PI / 2), *_y1p_or(phi), *_b1(PI / 2), *_y1_or(phi)]
+    return _commutator(_y1_or(phi), _y1p_or(phi), _b1(PI / 2), _b1(3 * PI / 2))
 
 
-_OR_PURE = {
-    "b1": _b1,
-    "y1prime": _y1p_or,
-    "x1": _x1_or,
-    "y1": _y1_or,
-    "x1prime": _x1p_or,
-    "z2": _z2_or,
-    "z2prime": _z2p_or,
-    "x2": _x2_or,
+# ---------------------------------------------------------------------------
+# pure error registry: per family, each kind's builder and the names of its phases
+
+_PHI = ("phi",)
+_PURE = {
+    PULSE_LENGTH: ("ple", "pulse-length", {
+        "x1": (_x1, _PHI),
+        "y1": (_y1, _PHI),
+        "x1inv": (_x1_inv, _PHI),
+        "y1inv": (_y1_inv, _PHI),
+        "z1": (_z1, _PHI),
+        "z2": (_z2, _PHI),
+        "z2prime": (_z2_prime, _PHI),
+        "x2prime": (_x2_prime, _PHI),
+        "x3": (_x3, _PHI),
+        "six_pulse_z2": (_six_pulse_z2, ("beta",)),
+        "z2general": (_z2_general, ("alpha", "beta")),
+    }),
+    OFF_RESONANCE: ("or", "off-resonance", {
+        "b1": (_b1, _PHI),
+        "y1prime": (_y1p_or, _PHI),
+        "x1": (_x1_or, _PHI),
+        "y1": (_y1_or, _PHI),
+        "x1prime": (_x1p_or, _PHI),
+        "z2": (_z2_or, _PHI),
+        "z2prime": (_z2p_or, _PHI),
+        "x2": (_x2_or, _PHI),
+    }),
 }
+
+
+def _pure_error(model_kind: str, kind: str, angles: tuple) -> PulseSequence:
+    prefix, family, table = _PURE[model_kind]
+    try:
+        builder, names = table[kind]
+    except KeyError:
+        raise ValueError(f"unknown {family} pure error kind {kind!r}") from None
+    if len(angles) != len(names):
+        count = "one phase" if len(names) == 1 else "two phases"
+        listed = "" if names == _PHI else f" ({', '.join(names)})"
+        raise ValueError(f"{kind} takes exactly {count}{listed}")
+    return PulseSequence(
+        name=f"{prefix}-{kind}",
+        target_theta=0.0,
+        pulses=tuple(builder(*angles)),
+        model_kind=model_kind,
+        metadata=dict(zip(names, angles)),
+    )
+
+
+def ple_pure_error(kind: str, *angles: float) -> PulseSequence:
+    """Pure error term for pulse length errors.
+
+    Kinds taking one phase: ``x1``, ``y1``, ``x1inv``, ``y1inv``, ``z1``,
+    ``z2``, ``z2prime``, ``x2prime``, ``x3``, ``six_pulse_z2``.  The kind
+    ``z2general`` takes two phases (alpha, beta) and produces a second-order
+    z error of size 8 pi^2 cos(alpha) cos(beta).
+    """
+    return _pure_error(PULSE_LENGTH, kind, angles)
 
 
 def or_pure_error(kind: str, phi: float) -> PulseSequence:
@@ -358,17 +377,7 @@ def or_pure_error(kind: str, phi: float) -> PulseSequence:
     Kinds: ``b1``, ``y1prime``, ``x1``, ``y1``, ``x1prime``, ``z2``,
     ``z2prime``, ``x2``.
     """
-    try:
-        builder = _OR_PURE[kind]
-    except KeyError:
-        raise ValueError(f"unknown off-resonance pure error kind {kind!r}") from None
-    return PulseSequence(
-        name=f"or-{kind}",
-        target_theta=0.0,
-        pulses=tuple(builder(phi)),
-        model_kind=OFF_RESONANCE,
-        metadata={"phi": phi},
-    )
+    return _pure_error(OFF_RESONANCE, kind, (phi,))
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +446,11 @@ def _or_second_corpse(theta: float) -> PulseSequence:
     _require_pi(theta, "or-second-corpse")
     psi2 = math.atan(PI / (2.0 * math.sqrt(15.0)))
     phi2 = math.acos((60.0 + PI**2) ** 0.25 / (8.0 * math.sqrt(2.0)))
-    base = corpse(psi2).pulses
+    base = corpse(psi2)
     # C(psi2, 3pi/2) before the z term, C(psi2, pi/2) after: a y-axis
     # conjugation that tilts the second-order z error onto the residual
-    rot_in = tuple(Pulse(p.angle, p.phase + 3 * PI / 2) for p in base)
-    rot_out = tuple(Pulse(p.angle, p.phase + PI / 2) for p in base)
+    rot_in = shift_phases(base, 3 * PI / 2).pulses
+    rot_out = shift_phases(base, PI / 2).pulses
     pulses = [_p(PI, 0.0), *_y1p_or(PHI1_180), *rot_in, *_z2p_or(phi2), *rot_out]
     meta = {"phi1": PHI1_180, "phi2": phi2, "psi2": psi2}
     return PulseSequence("or-second-corpse", PI, tuple(pulses), OFF_RESONANCE, metadata=meta)
@@ -474,18 +483,8 @@ def _simultaneous(theta: float) -> PulseSequence:
     errors).
     """
     _require_pi(theta, "simultaneous")
-    phi1 = PHI1_180
-    pulses = (
-        _p(PI, 0.0),
-        _p(PI, phi1),
-        _p(TWO_PI, 3.0 * phi1),
-        _p(PI, phi1),
-        _p(PI, PI - phi1),
-        _p(PI, -phi1),
-        _p(PI, PI + phi1),
-        _p(PI, phi1),
-    )
-    return PulseSequence("simultaneous", PI, pulses, SIMULTANEOUS, metadata={"phi1": phi1})
+    pulses = (*bb1(PI).pulses, *_y1p_or(PHI1_180))
+    return PulseSequence("simultaneous", PI, pulses, SIMULTANEOUS, metadata={"phi1": PHI1_180})
 
 
 def shift_phases(seq: PulseSequence, dphi: float) -> PulseSequence:

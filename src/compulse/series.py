@@ -30,6 +30,9 @@ from .su2 import OFF_RESONANCE, PULSE_LENGTH, Pulse, adjoint, flipped_pulse_erro
 
 DEFAULT_DEGREE = 8
 
+#: sigma norm below which a degree counts as zero in ``leading_error``
+_ZERO_TOL = 1e-10
+
 _masks: dict[int, np.ndarray] = {}
 
 
@@ -330,7 +333,7 @@ def fidelity_series(a: MatrixSeries) -> ScalarSeries:
     return t if t0 > 0.0 else -t
 
 
-def leading_error(a: MatrixSeries, zero_tol: float = 1e-10) -> ErrorTermReport:
+def leading_error(a: MatrixSeries) -> ErrorTermReport:
     """Locate the lowest-degree nonzero sigma component of a residual series.
 
     Also reports the leading infidelity term.  With the sigma part c_n x^n +
@@ -342,12 +345,12 @@ def leading_error(a: MatrixSeries, zero_tol: float = 1e-10) -> ErrorTermReport:
     """
     if not (np.isfinite(a.alpha.c).all() and np.isfinite(a.beta.c).all()):
         raise ValueError("not a residual series: non-finite coefficients")
-    if a.degree_pauli_norm(0) > zero_tol or abs(abs(a.pauli_term(0, 0)[0]) - 1.0) > 1e-9:
+    if a.degree_pauli_norm(0) > _ZERO_TOL or abs(abs(a.pauli_term(0, 0)[0]) - 1.0) > 1e-9:
         raise ValueError("not a residual series: degree-0 part is not a pure global phase")
     order = None
     pauli = None
     for d in range(1, a.degree + 1):
-        if a.degree_pauli_norm(d) > zero_tol:
+        if a.degree_pauli_norm(d) > _ZERO_TOL:
             order = d
             _, cx, cy, cz = a.degree_pauli(d)
             pauli = (cx, cy, cz)

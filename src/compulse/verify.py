@@ -153,35 +153,25 @@ def estimate_order(seq, axis: str, grid=None) -> SweepResult:
     x_all = np.log(grid[keep])
     y_all = np.log(infid[keep])
 
-    # The slope approaches 2n only as x -> 0; when the next-order coefficient
-    # is much larger than the leading one, the top of the clean window still
-    # bends the fit.  Trim from the large-x end until slope/2 locks onto an
-    # integer, keeping at least 4 points; report the full-window fit if it
-    # never does.
-    chosen = None
-    for stop in range(len(x_all), 2, -1):
+    def fit(stop: int) -> SweepResult:
         x, y = x_all[:stop], y_all[:stop]
         slope, intercept = np.polyfit(x, y, 1)
         resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
         n = round(slope / 2.0)
         ambiguous = abs(slope / 2.0 - n) >= 0.1 or n < 1
-        if chosen is None:
-            chosen = (slope, intercept, resid, n, ambiguous, stop)
-        if not ambiguous and stop >= 4:
-            chosen = (slope, intercept, resid, n, ambiguous, stop)
-            break
-    slope, intercept, resid, n, ambiguous, used = chosen
-    return SweepResult(
-        grid,
-        infid,
-        float(slope),
-        float(intercept),
-        None if ambiguous else int(n),
-        ambiguous,
-        False,
-        resid,
-        int(used),
-    )
+        return SweepResult(grid, infid, float(slope), float(intercept), None if ambiguous else int(n),
+                           ambiguous, False, resid, stop)
+
+    # The slope approaches 2n only as x -> 0; when the next-order coefficient
+    # is much larger than the leading one, the top of the clean window still
+    # bends the fit.  Trim from the large-x end until slope/2 locks onto an
+    # integer, keeping at least 4 points; report the full-window fit if it
+    # never does.
+    full = fit(len(x_all))
+    if not full.ambiguous:
+        return full
+    trimmed = (fit(stop) for stop in range(len(x_all) - 1, 3, -1))
+    return next((r for r in trimmed if not r.ambiguous), full)
 
 
 def fit_leading_coefficient(seq, axis: str, degree: int) -> float:
@@ -319,11 +309,14 @@ def fidelity_surface(
 ) -> SurfaceFit:
     """Infidelity over a 2-D error grid plus leading-coefficient fits.
 
-    The two axis coefficients come from 1-D fits along the grid edges; the
-    eps^2 f^2 cross coefficient is fitted on the diagonal after subtracting
-    both axis contributions, with eps^2 f^4 and eps^4 f^2 nuisance terms
-    absorbed by least squares.  ``eps_grid`` and ``f_grid`` must be 1-D,
-    non-empty and finite; unlike a 1-D sweep they may hold signed fractions.
+    ``eps_grid`` and ``f_grid`` set only the returned table.  The two axis
+    coefficients come from :func:`fit_leading_coefficient`, which sweeps each
+    axis on the default 25-point grid (``GRID_MIN`` to ``GRID_MAX``)
+    whatever the table's grids are.  The eps^2 f^2 cross coefficient is
+    fitted on a fixed diagonal after subtracting both axis contributions,
+    with eps^2 f^4 and eps^4 f^2 nuisance terms absorbed by least squares.
+    ``eps_grid`` and ``f_grid`` must be 1-D, non-empty and finite; unlike a
+    1-D sweep they may hold signed fractions.
     """
     target = _target(seq)
     eps_grid = geometric_grid(3e-3, 3e-2, 7) if eps_grid is None else _checked_grid(eps_grid, "eps grid")

@@ -1,6 +1,7 @@
 """Sequence constructors: pulse lists, solver phases, error orders."""
 
 import math
+import re
 
 import pytest
 
@@ -11,6 +12,7 @@ from compulse import (
     leading_error,
     residual,
 )
+from compulse import sequences
 from compulse.sequences import (
     CATALOG,
     SolverFailure,
@@ -34,6 +36,10 @@ PHI_VALUES = [0.3, 0.7, 1.1, 2.0, 2.6]
 def _order(seq, kind=None, degree=8):
     kind = kind or seq.model_kind
     return leading_error(residual(seq.pulses, seq.target, kind, degree)).order
+
+
+def _exactly(message):
+    return f"^{re.escape(message)}$"
 
 
 def _pauli_at(seq, kind, i, j, degree=None):
@@ -140,14 +146,34 @@ class TestPulseLengthPureErrors:
             assert maxdiff(compose(pulses, ErrorModel.pulse_length(eps)), ID2) < 1e-12
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=_exactly("unknown pulse-length pure error kind 'w7'")):
             ple_pure_error("w7", 0.1)
 
     def test_argument_counts(self):
-        with pytest.raises(ValueError):
-            ple_pure_error("z2general", 0.1)
-        with pytest.raises(ValueError):
-            ple_pure_error("x1", 0.1, 0.2)
+        refusals = {
+            ("z2general", 0.1): "z2general takes exactly two phases (alpha, beta)",
+            ("z2general", 0.1, 0.2, 0.3): "z2general takes exactly two phases (alpha, beta)",
+            ("six_pulse_z2",): "six_pulse_z2 takes exactly one phase (beta)",
+            ("six_pulse_z2", 0.1, 0.2): "six_pulse_z2 takes exactly one phase (beta)",
+            ("x1", 0.1, 0.2): "x1 takes exactly one phase",
+            ("x3",): "x3 takes exactly one phase",
+        }
+        for args, message in refusals.items():
+            with pytest.raises(ValueError, match=_exactly(message)):
+                ple_pure_error(*args)
+
+    @pytest.mark.parametrize("alpha,beta", [(0.3, 1.1), (2.0, 0.7), (2.6, 2.6)])
+    def test_z2general_chronological_list(self, alpha, beta):
+        # the commutator X1(alpha) Y1(beta) X1^-1 Y1^-1, applied as Y1^-1, X1^-1, Y1, X1
+        expected = (
+            Pulse(2 * PI, 3 * PI / 2 + beta), Pulse(2 * PI, 3 * PI / 2 - beta),
+            Pulse(2 * PI, PI + alpha), Pulse(2 * PI, PI - alpha),
+            Pulse(2 * PI, PI / 2 - beta), Pulse(2 * PI, PI / 2 + beta),
+            Pulse(2 * PI, -alpha), Pulse(2 * PI, alpha),
+        )
+        seq = ple_pure_error("z2general", alpha, beta)
+        assert seq.pulses == expected
+        assert seq.metadata == {"alpha": alpha, "beta": beta}
 
 
 class TestSKCorrected:
@@ -210,6 +236,23 @@ class TestThirdOrderSolver:
         assert math.degrees(phi3) == pytest.approx(81.6266, abs=1e-3)
         assert math.degrees(delta) == pytest.approx(142.2388, abs=1e-3)
 
+    def test_check_runs_on_the_built_pulse_list(self, monkeypatch):
+        checked = []
+        contour = sequences.contour_sigma_norms
+
+        def recording(pulses, *args, **kwargs):
+            checked.append(tuple(pulses))
+            return contour(pulses, *args, **kwargs)
+
+        monkeypatch.setattr(sequences, "contour_sigma_norms", recording)
+        solve_third_order.cache_clear()
+        try:
+            solve_third_order()
+            solver_lists = list(checked)
+        finally:
+            solve_third_order.cache_clear()
+        assert solver_lists == [build("sk3", PI).pulses]
+
     def test_failed_check_carries_root(self):
         # no residual is below a zero tolerance: the check fails, and the
         # closed-form root still comes back as the best point
@@ -270,7 +313,9 @@ class TestOffResonancePureErrors:
         assert abs(cx) < 1e-9 and abs(cy) < 1e-9
 
     def test_b1_rejects_negative_phase(self):
-        with pytest.raises(ValueError):
+        message = ("b1 needs a nonnegative phase parameter (it fixes the pulse angles); "
+                   "use phi + pi for a negative z coefficient")
+        with pytest.raises(ValueError, match=_exactly(message)):
             or_pure_error("b1", -0.2)
 
     @pytest.mark.parametrize("phi", PHI_VALUES)
@@ -315,8 +360,13 @@ class TestOffResonancePureErrors:
         assert a.degree_pauli_norm(1) < 1e-10
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=_exactly("unknown off-resonance pure error kind 'q1'")):
             or_pure_error("q1", 0.1)
+
+    @pytest.mark.parametrize("phi", PHI_VALUES)
+    @pytest.mark.parametrize("primed,plain", [("x1prime", "x1"), ("y1prime", "y1"), ("z2prime", "z2")])
+    def test_primed_terms_are_reversed(self, primed, plain, phi):
+        assert or_pure_error(primed, phi).pulses == or_pure_error(plain, phi).pulses[::-1]
 
 
 class TestOffResonanceCorrected:
@@ -378,6 +428,10 @@ class TestOffResonanceCorrected:
         ]
         got = [(p.angle, p.phase) for p in seq.pulses]
         assert got == pytest.approx(expected)
+
+    def test_simultaneous_is_bb1_then_y1prime(self):
+        y1prime = or_pure_error("y1prime", math.acos(-0.25))
+        assert build("simultaneous").pulses == bb1(PI).pulses + y1prime.pulses
 
 
 class TestSimultaneousCoefficients:

@@ -20,6 +20,13 @@ bits.  The families:
 - ``crossover_scan``: the README range plus 45 seeded random angle grids;
 - ``fits``: ``estimate_order`` on both axes, ``fit_leading_coefficient`` at
   each found order and ``fidelity_surface``, over the catalog;
+- ``sequences``: the ``repr`` (name, target, pulses, model kind, metadata) of
+  every catalog entry at ``THETAS`` and 720 degrees, of every
+  ``ple_pure_error`` and ``or_pure_error`` kind at five phases, and the
+  message of every refused name, angle, kind and phase count;
+- ``series``: the ``leading_error`` report and the ``fidelity_series``
+  coefficients at degree 8 of the same catalog entries in their design
+  model, and of ``simultaneous`` under ple and ore as well;
 - ``cli``: exit code, stdout and written files of the README commands.
 """
 
@@ -46,15 +53,24 @@ from compulse import (  # noqa: E402
     compose,
     crossover_scan,
     estimate_order,
+    fidelity_series,
     fidelity_surface,
     fit_leading_coefficient,
+    leading_error,
+    or_pure_error,
+    ple_pure_error,
     propagator,
+    residual,
 )
 from compulse import su2  # noqa: E402
 from compulse.verify import infidelity_grid  # noqa: E402
 
 THETAS = (math.pi, math.radians(37.0), math.radians(123.0))
 KINDS = ("ple", "ore", "sim")
+BUILD_THETAS = (*THETAS, math.radians(720.0))
+PHASES = (-0.4, 0.3, 1.1, 2.0, 4.5)
+PLE_KINDS = ("x1", "y1", "x1inv", "y1inv", "z1", "z2", "z2prime", "x2prime", "x3", "six_pulse_z2")
+OR_KINDS = ("b1", "y1prime", "x1", "y1", "x1prime", "z2", "z2prime", "x2")
 REAL = np.geomspace(1e-4, 1e-1, 25)
 GRIDS = {
     "scalar": lambda kind: (0.013, 0.007),
@@ -103,11 +119,11 @@ class Digest:
         return f"{name:22s} {self.sha.hexdigest()}  ({self.count} outputs)"
 
 
-def _sequences():
-    """Every catalog entry at every angle of ``THETAS`` that it is defined at."""
+def _sequences(thetas=THETAS):
+    """Every catalog entry at every angle of ``thetas`` that it is defined at."""
     out = []
     for name in CATALOG:
-        for theta in THETAS:
+        for theta in thetas:
             try:
                 out.append((name, build(name, theta)))
             except ValueError:  # sk3 and some off-resonance entries take 180 degrees only
@@ -185,6 +201,48 @@ def fit_family() -> list[str]:
     return [d.line("fits")]
 
 
+def _built(build_fn, *args) -> str:
+    return repr(build_fn(*args))
+
+
+def sequence_family() -> list[str]:
+    d = Digest()
+    for name in (*CATALOG, "no-such-sequence"):
+        for theta in BUILD_THETAS:
+            d.call(_built, build, name, theta)
+    for i, phi in enumerate(PHASES):
+        for kind in PLE_KINDS:
+            d.call(_built, ple_pure_error, kind, phi)
+        d.call(_built, ple_pure_error, "z2general", phi, PHASES[(i + 2) % len(PHASES)])
+        for kind in OR_KINDS:
+            d.call(_built, or_pure_error, kind, phi)
+    for kind in (*PLE_KINDS, "z2general"):
+        for count in range(4):
+            d.call(_built, ple_pure_error, kind, *PHASES[:count])
+    d.call(_built, ple_pure_error, "w7", 0.1)
+    d.call(_built, or_pure_error, "q1", 0.1)
+    return [d.line("sequences")]
+
+
+def series_family() -> list[str]:
+    d = Digest()
+    runs = []
+    for name, seq in _sequences(BUILD_THETAS):
+        runs.append((seq, seq.model_kind))
+        if name == "simultaneous":
+            runs += [(seq, "ple"), (seq, "ore")]
+    for seq, kind in runs:
+        d.add(f"{seq.name} {seq.target_theta!r} {kind}")
+        try:
+            a = residual(seq.pulses, seq.target, kind, 8)
+        except ValueError as exc:
+            d.add(f"ValueError: {exc}")
+            continue
+        d.call(lambda: repr(leading_error(a)))
+        d.call(lambda: fidelity_series(a).c)
+    return [d.line("series")]
+
+
 def cli_family() -> list[str]:
     d = Digest()
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -205,7 +263,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--no-cli", action="store_true", help="skip the README CLI commands")
     args = parser.parse_args()
-    lines = grid_families() + crossover_family() + fit_family()
+    lines = grid_families() + crossover_family() + fit_family() + sequence_family() + series_family()
     if not args.no_cli:
         lines += cli_family()
     print("\n".join(lines))
