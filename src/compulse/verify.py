@@ -13,8 +13,12 @@ no extended precision: results are the same on every platform, whatever its
 ``longdouble``.  The degree-3 magnitudes of :func:`crossover_scan` are Taylor
 coefficients read off the same residual on a contour of complex pulse-length
 fractions (:func:`compulse.su2.contour_sigma_norms`).  The whole
-angle grid of one variant is a single batched composition; the bisection for
-the crossover then evaluates one angle per step.
+angle grid of one variant is a single batched composition.  The bisection
+for the crossover then composes one angle per step, but only for the steps
+whose side is not yet decided: a capped regula falsi pre-pass brackets the
+root between angles whose difference lies beyond the read-out's rounding
+floor, and a midpoint outside that bracket takes the side its position
+implies.
 Agreement between the two routes is what certifies a sequence.
 """
 
@@ -26,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .sequences import build
-from .su2 import KIND_AXIS, SIMULTANEOUS, Pulse, contour_sigma_norms, residual_grid, rotation
+from .su2 import CONTOUR_RADIUS, KIND_AXIS, SIMULTANEOUS, Pulse, contour_sigma_norms, residual_grid, rotation
 
 #: sweep defaults: geometric grid and the infidelity window used for fitting
 GRID_MIN, GRID_MAX, GRID_POINTS = 1e-4, 1e-1, 25
@@ -226,7 +230,9 @@ def _degree3_magnitudes(name: str, thetas) -> np.ndarray:
     norms = contour_sigma_norms(pulses, u).reshape(len(seqs), 4)
     bad = (norms[:, 1] > 1e-10) | (norms[:, 2] > 1e-10)
     if bad.any():
-        raise ValueError(f"{name} is not second-order correct at theta = {thetas[int(np.argmax(bad))]}")
+        theta = thetas[int(np.argmax(bad))]
+        raise ValueError(f"{name} is not second-order correct at theta = {theta} rad "
+                         f"({np.degrees(theta):.6g} degrees)")
     # a copy, not a view that would keep all of norms alive in the result
     return norms[:, 3].copy()
 
@@ -235,10 +241,20 @@ def crossover_scan(names, thetas) -> CrossoverResult:
     """Third-order error magnitude of second-order pulse-length sequences.
 
     Evaluates the degree-3 sigma-vector norm of every named variant over the
-    angle grid, one batched composition per variant, and locates (by
-    bisection, one angle per step) the angle where the first variant's
-    magnitude crosses the second's.  A missing sign change is flagged rather
-    than guessed.
+    angle grid, one batched composition per variant, and locates the angle
+    where the first variant's magnitude crosses the second's by bisecting
+    the first grid cell whose ends differ in sign.  A missing sign change is
+    flagged rather than guessed.
+
+    The bisection composes one angle per step, but only where the sign of
+    the difference is not yet decided: a short regula falsi pre-pass
+    (:func:`_decided_bracket`) finds angles L and H inside the cell whose
+    differences lie beyond the contour's rounding floor, and a midpoint
+    outside (L, H) takes the side its position implies without a
+    composition.  Every midpoint inside (L, H) is composed, so the crossover
+    has the same bits as a bisection that composes every step, as long as
+    the difference keeps its sign between each cell end and the decided
+    angle on its side, which holds when the cell holds one root.
     """
     names = list(names)
     if len(names) < 2:
@@ -246,31 +262,117 @@ def crossover_scan(names, thetas) -> CrossoverResult:
     thetas = _checked_grid(thetas, "angle grid")
     mags = {name: _degree3_magnitudes(name, thetas) for name in names}
 
-    a, b = names[0], names[1]
-    diff = mags[a] - mags[b]
-    crossover = None
-    flagged = True
+    diff = mags[names[0]] - mags[names[1]]
     if np.max(np.abs(diff)) < 1e-12:
         # indistinguishable variants: no crossover to report
         return CrossoverResult(thetas, mags, None, True)
     for i in range(len(thetas) - 1):
         if diff[i] * diff[i + 1] < 0.0:
-            lo, hi = thetas[i], thetas[i + 1]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if mid == lo or mid == hi:
-                    break
-                dm = _degree3_magnitudes(a, (mid,))[0] - _degree3_magnitudes(b, (mid,))[0]
-                if dm == 0.0:
-                    lo = hi = mid
-                    break
-                if (dm < 0.0) == (diff[i] < 0.0):
-                    lo = mid
-                else:
-                    hi = mid
-            crossover, flagged = float(0.5 * (lo + hi)), False
+            crossover = _bisect(names[0], names[1], thetas[i], thetas[i + 1], diff[i], diff[i + 1])
+            return CrossoverResult(thetas, mags, crossover, False)
+    return CrossoverResult(thetas, mags, None, True)
+
+
+def _bisect(a: str, b: str, lo: float, hi: float, d_lo: float, d_hi: float) -> float:
+    """Angle in the grid cell from ``lo`` to ``hi`` where the degree-3
+    magnitude of ``a`` minus that of ``b`` changes sign; ``d_lo`` and
+    ``d_hi`` are that difference at the cell ends, of opposite signs.
+
+    A step's difference is composed at that one angle only when its midpoint
+    lies inside the bracket (L, H) that :func:`_decided_bracket` leaves
+    undecided; the memo of composed angles lives for this call only.
+    """
+    memo: dict[float, float] = {}
+
+    def difference(theta: float) -> float:
+        if theta not in memo:
+            memo[theta] = _degree3_magnitudes(a, (theta,))[0] - _degree3_magnitudes(b, (theta,))[0]
+        return memo[theta]
+
+    (l, d_l), (h, d_h) = _decided_bracket(difference, (lo, d_lo), (hi, d_hi), _rounding_floor(a, b, lo))
+    up = hi > lo
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
             break
-    return CrossoverResult(thetas, mags, crossover, flagged)
+        # L and H are oriented by value: on a descending grid lo lies above hi
+        if (mid < l) if up else (mid > l):
+            dm = d_l
+        elif (mid > h) if up else (mid < h):
+            dm = d_h
+        else:
+            dm = difference(mid)
+        if dm == 0.0:
+            lo = hi = mid
+            break
+        if (dm < 0.0) == (d_lo < 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return float(0.5 * (lo + hi))
+
+
+def _rounding_floor(a: str, b: str, theta: float) -> float:
+    """Largest rounding error expected in the one-angle difference of the
+    degree-3 magnitudes of ``a`` and ``b`` near ``theta``.
+
+    :func:`~compulse.su2.taylor_coefficients` bounds the rounding of a
+    degree-3 coefficient by eps_mach max|W| / r^3 on the contour of radius
+    r = ``CONTOUR_RADIUS``.  W is the identity up to terms of degree 3 in
+    eps (a variant is refused otherwise), so max|W| is taken as 1; it is
+    1.004 for bb1 and 1.06 for sk2rot at their crossover.  The stated factor
+    is the pulse count, one rounding per matrix product of the composition,
+    summed over both variants.  For bb1 against sk2rot that is 21, a floor
+    of 5.8e-13, where the difference's noise about a straight line is at
+    most 3.9e-14 over 401 angles within 2e-12 rad of the crossover.
+    """
+    pulses = len(build(a, theta).pulses) + len(build(b, theta).pulses)
+    return pulses * float(np.finfo(float).eps) / CONTOUR_RADIUS**3
+
+
+def _decided_bracket(difference, lo: tuple[float, float], hi: tuple[float, float], floor: float):
+    """Innermost (angle, difference) pairs (L, H) on the ``lo`` and ``hi``
+    sides of the root whose computed difference has the sign of that cell
+    end and lies beyond ``floor``; a cell end stands for its side until an
+    evaluated angle replaces it.
+
+    Regula falsi with the Illinois modification (Dowell & Jarratt, BIT 11,
+    168, 1971) runs at most 8 steps from the cell ends, each one
+    composition.  Once a step lands within the floor of zero, two probes at
+    that root estimate plus and minus 3 floors (over the secant slope)
+    tighten the bracket.  If the steps never get there, the cell ends come
+    back and the bisection composes every step.
+    """
+    ends = [lo, hi]
+    (x0, f0), (x1, f1) = lo, hi  # Illinois bracket: f0 and f1 may be halved
+    last = None
+    for _ in range(8):
+        x = x1 - f1 * (x1 - x0) / (f1 - f0)
+        if not min(x0, x1) < x < max(x0, x1):
+            return ends  # the bracket is down to adjacent floats
+        fx = difference(x)
+        if not abs(fx) > floor:
+            break
+        side = int((fx < 0.0) != (lo[1] < 0.0))
+        ends[side] = (x, fx)
+        if side == 0:
+            x0, f0 = x, fx
+            f1 = f1 / 2.0 if last == 0 else f1
+        else:
+            x1, f1 = x, fx
+            f0 = f0 / 2.0 if last == 1 else f0
+        last = side
+    else:
+        return [lo, hi]
+    (l, d_l), (h, d_h) = ends
+    step = 3.0 * floor * (h - l) / (d_h - d_l)
+    for probe in (x - step, x + step):
+        (l, _), (h, _) = ends
+        if min(l, h) < probe < max(l, h):
+            value = difference(probe)
+            if abs(value) > floor:
+                ends[int((value < 0.0) != (lo[1] < 0.0))] = (probe, value)
+    return ends
 
 
 def inverse_quality(seq, seq_inv, model_kind: str) -> SweepResult:

@@ -279,6 +279,15 @@ class TestCompare:
         )
         assert "# no crossover of bb1 vs sk2 in range (flagged)" in capsys.readouterr().out
 
+    def test_uncorrected_variant_refused_in_degrees(self, capsys):
+        # sk1 is first-order only; the refusal names the first angle of the
+        # default 10-180 degree range in both units
+        assert run_main("compare", "--variants", "sk1", "bb1") == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: sk1 is not second-order correct at theta = "
+                                "0.17453292519943295 rad (10 degrees)\n")
+
     def test_single_variant_rejected(self, capsys):
         assert run_main("compare", "--variants", "bb1") == EXIT_USAGE
 

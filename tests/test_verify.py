@@ -13,6 +13,7 @@ from compulse import Pulse, residual
 from compulse.sequences import CATALOG, build, corpse, ple_pure_error, shift_phases, solve_third_order
 from compulse.su2 import CONTOUR_EPS, pulse_matrix, residual_grid, rotation, taylor_coefficients
 from compulse.verify import (
+    _decided_bracket,
     _degree3_magnitudes,
     crossover_scan,
     estimate_order,
@@ -229,6 +230,110 @@ class TestCrossoverScan:
         monkeypatch.setattr(compulse.verify, "build", build_by_angle)
         with pytest.raises(ValueError, match="pulse count .* angle grid"):
             crossover_scan(["bb1", "sk2rot"], [1.0, 2.5, 3.0])
+
+
+README_RANGE = np.radians(np.linspace(10.0, 180.0, 86))
+README_CROSSOVER = 2.9441399304550355
+
+
+def _reference_crossover(names, thetas):
+    """Crossover and flag of a bisection that composes the difference at
+    every step's midpoint, the reference that decided steps must match."""
+    a, b = names
+    diff = _degree3_magnitudes(a, thetas) - _degree3_magnitudes(b, thetas)
+    if np.max(np.abs(diff)) < 1e-12:
+        return None, True
+    for i in range(len(thetas) - 1):
+        if diff[i] * diff[i + 1] < 0.0:
+            lo, hi = thetas[i], thetas[i + 1]
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if mid == lo or mid == hi:
+                    break
+                dm = _degree3_magnitudes(a, (mid,))[0] - _degree3_magnitudes(b, (mid,))[0]
+                if dm == 0.0:
+                    lo = hi = mid
+                    break
+                if (dm < 0.0) == (diff[i] < 0.0):
+                    lo = mid
+                else:
+                    hi = mid
+            return float(0.5 * (lo + hi)), False
+    return None, True
+
+
+def _seeded_grid(shape, seed):
+    """An angle-scan grid (24 points from 140-150 to 180 degrees) or a
+    compare grid (9 points from 158-162 to 174-178 degrees)."""
+    rng = np.random.default_rng(seed)
+    if shape == "angle-scan":
+        return np.radians(np.linspace(rng.uniform(140.0, 150.0), 180.0, 24))
+    return np.radians(np.linspace(rng.uniform(158.0, 162.0), rng.uniform(174.0, 178.0), 9))
+
+
+def _count_one_angle_calls(monkeypatch):
+    calls = []
+    batched = compulse.verify._degree3_magnitudes
+
+    def counted(name, thetas):
+        if len(thetas) == 1:
+            calls.append(thetas[0])
+        return batched(name, thetas)
+
+    monkeypatch.setattr(compulse.verify, "_degree3_magnitudes", counted)
+    return calls
+
+
+class TestDecidedBisection:
+    """The bisection composes only the steps its bracket leaves undecided,
+    and finds the same bits as one that composes every step."""
+
+    @pytest.mark.parametrize("order", ["ascending", "reversed"])
+    @pytest.mark.parametrize(
+        "shape, seed",
+        [("readme", None)] + [(shape, seed) for shape in ("angle-scan", "compare") for seed in (1, 2, 3)],
+    )
+    def test_crossover_bits_match_full_bisection(self, shape, seed, order):
+        thetas = README_RANGE if shape == "readme" else _seeded_grid(shape, seed)
+        if order == "reversed":
+            thetas = thetas[::-1].copy()
+        scan = crossover_scan(["bb1", "sk2rot"], thetas)
+        assert (scan.crossover_theta, scan.flagged) == _reference_crossover(("bb1", "sk2rot"), thetas)
+        assert scan.crossover_theta is not None
+
+    def test_readme_range_composes_at_most_46_angles(self, monkeypatch):
+        calls = _count_one_angle_calls(monkeypatch)
+        scan = crossover_scan(["bb1", "sk2rot"], README_RANGE)
+        assert scan.crossover_theta == README_CROSSOVER
+        # a bisection that composes every step makes 92 one-angle calls here
+        assert len(calls) <= 46
+
+    def test_reversed_readme_range_is_exact(self):
+        scan = crossover_scan(["bb1", "sk2rot"], README_RANGE[::-1])
+        assert scan.crossover_theta == README_CROSSOVER
+        assert not scan.flagged
+
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_bracket_oriented_by_value(self, descending):
+        # a straight line through 0.3 with slope -1: regula falsi hits the
+        # root at once, and the probes land 3 floors either side of it
+        lo, hi = ((0.0, 0.3), (1.0, -0.7)) if not descending else ((1.0, -0.7), (0.0, 0.3))
+        (l, d_l), (h, d_h) = _decided_bracket(lambda x: 0.3 - x, lo, hi, 1e-3)
+        assert (d_l > 0.0) == (lo[1] > 0.0) and (d_h > 0.0) == (hi[1] > 0.0)
+        assert abs(d_l) > 1e-3 and abs(d_h) > 1e-3
+        assert (l, h) == pytest.approx((0.297, 0.303) if not descending else (0.303, 0.297), abs=1e-12)
+
+    def test_stalled_pre_pass_leaves_the_cell_to_bisection(self):
+        # x^20 - 0.5 is too curved for 8 steps to come within 1e-300 of zero
+        calls = []
+
+        def difference(x):
+            calls.append(x)
+            return x**20 - 0.5
+
+        lo, hi = (0.0, -0.5), (1.0, 0.5)
+        assert _decided_bracket(difference, lo, hi, 1e-300) == [lo, hi]
+        assert len(calls) == 8
 
 
 def _one_angle_magnitude(name, theta):

@@ -17,7 +17,11 @@ bits.  The families:
 - ``su2``: ``pulse_matrix``, ``propagator``, ``compose`` and ``residual_grid``
   of the same sequences;
 - ``contour_sigma_norms``: 32 and 64 nodes, the same sequences;
-- ``crossover_scan``: the README range plus 45 seeded random angle grids;
+- ``crossover_scan``: the README range, 45 seeded random angle grids, and
+  40 seeded grids that bracket the bb1/sk2rot crossover: 20 of 24 points
+  from 140-150 to 180 degrees (the benchmark's angle scan) and 20 of 9
+  points from 158-162 to 174-178 degrees (its ``compare``), half of each
+  reversed;
 - ``fits``: ``estimate_order`` on both axes, ``fit_leading_coefficient`` at
   each found order and ``fidelity_surface``, over the catalog;
 - ``sequences``: the ``repr`` (name, target, pulses, model kind, metadata) of
@@ -173,6 +177,12 @@ def crossover_family() -> list[str]:
         lo = rng.uniform(10.0, 170.0)
         hi = rng.uniform(lo + 1.0, 180.0)
         _scan(d, pairs[i % 3], np.radians(np.linspace(lo, hi, int(rng.integers(2, 31)))))
+    rng = np.random.default_rng(20071109)
+    for i in range(20):
+        scan = np.radians(np.linspace(rng.uniform(140.0, 150.0), 180.0, 24))
+        compare = np.radians(np.linspace(rng.uniform(158.0, 162.0), rng.uniform(174.0, 178.0), 9))
+        for thetas in (scan, compare):
+            _scan(d, ("bb1", "sk2rot"), thetas[::-1] if i % 2 else thetas)
     return [d.line("crossover_scan"), f"{'readme crossover':22s} {readme!r}"]
 
 
