@@ -71,23 +71,42 @@ class TestScalarArithmetic:
         s = eps_var(3) * (1 + 2j)
         assert s.conjugate().coeff(1, 0) == 1 - 2j
 
-    @given(
-        a=st.lists(st.floats(-3, 3), min_size=6, max_size=6),
-        b=st.lists(st.floats(-3, 3), min_size=6, max_size=6),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_product_coefficients_are_convolutions(self, a, b):
-        n = 5
-        sa, sb = ScalarSeries(n), ScalarSeries(n)
-        for i in range(3):
-            sa.c[i, i // 2] = a[i]
-            sb.c[i // 2, i] = b[i]
-        prod = sa * sb
-        for k, l in ((2, 2), (1, 3), (3, 0)):
-            direct = sum(
-                sa.c[i, j] * sb.c[k - i, l - j] for i in range(k + 1) for j in range(l + 1)
-            )
-            assert prod.coeff(k, l) == pytest.approx(direct, abs=1e-12)
+    def test_coeff_refuses_exponents_outside_the_triangle(self):
+        seq = bb1(PI)
+        res = residual(seq.pulses, seq.target, PULSE_LENGTH, 8)
+        for i, j in ((-1, 0), (0, -1), (-2, 3), (9, 0), (4, 5)):
+            with pytest.raises(ValueError):
+                res.alpha.coeff(i, j)
+            with pytest.raises(ValueError):
+                res.pauli_term(i, j)
+
+    def test_product_coefficients_are_convolutions(self):
+        # The product must sum each coefficient in the lexicographic (i, j)
+        # order of the left factor, bit for bit; the reference keeps that order.
+        def lexicographic_product(a, b, n):
+            out = np.zeros((n + 1, n + 1), dtype=complex)
+            for i in range(n + 1):
+                for j in range(n + 1 - i):
+                    out[i:, j:] += a[i, j] * b[: n + 1 - i, : n + 1 - j]
+            idx = np.arange(n + 1)
+            out[idx[:, None] + idx[None, :] > n] = 0.0
+            return out
+
+        rng = np.random.default_rng(20041118)
+        for n in (0, 1, 5, 16):
+            for content in ("one-variable", "bivariate", "zero-interleaved"):
+                for _ in range(5):
+                    a, b = (
+                        ScalarSeries(n, rng.normal(size=(n + 1, n + 1, 2)) @ [1.0, 1j]
+                                     * 10.0 ** rng.uniform(-6, 6, size=(n + 1, n + 1)))
+                        for _ in range(2)
+                    )
+                    if content == "one-variable":
+                        a.c[:, 1:] = b.c[:, 1:] = 0.0
+                    elif content == "zero-interleaved":
+                        a.c[1::2] = b.c[:, ::2] = 0.0
+                    want = lexicographic_product(a.c, b.c, n)
+                    assert np.array_equal((a * b).c, want), (n, content)
 
 
 class TestClosedFormCoefficients:
@@ -350,8 +369,10 @@ class TestFidelitySeries:
 
     def test_rejects_non_unit_constant(self):
         half = MatrixSeries.from_matrix(np.eye(2) * 0.5, 4)
-        with pytest.raises(ValueError):
-            fidelity_series(half)
+        nan = MatrixSeries(ScalarSeries.constant(math.nan, 4), ScalarSeries(4))
+        for a in (half, nan):
+            with pytest.raises(ValueError):
+                fidelity_series(a)
 
 
 MODEL_VALUE = {

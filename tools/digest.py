@@ -6,10 +6,10 @@ Run it from any directory on two checkouts and compare the lines:
     python3 tools/digest.py --no-cli   # skip the README CLI commands (fresh processes)
 
 It imports compulse from ``src/`` of the checkout it lives in and reads only
-the package's public names and ``compulse.su2``.  Each family hashes the dtype,
-shape and raw bytes of every array, the ``repr`` of every float, and the
-message of every refused input, in a fixed order, so equal digests mean equal
-bits.  The families:
+the package's public names, ``compulse.su2`` and ``compulse.cli.MAX_DEGREE``.
+Each family hashes the dtype, shape and raw bytes of every array, the ``repr``
+of every float, and the message of every refused input, in a fixed order, so
+equal digests mean equal bits.  The families:
 
 - ``infidelity_grid``: every catalog entry at 180, 37 and 123 degrees under
   ple, ore and sim, on a scalar point, a 1-D grid, an (E,1)x(1,F) grid and a
@@ -29,8 +29,9 @@ bits.  The families:
   ``ple_pure_error`` and ``or_pure_error`` kind at five phases, and the
   message of every refused name, angle, kind and phase count;
 - ``series``: the ``leading_error`` report and the ``fidelity_series``
-  coefficients at degree 8 of the same catalog entries in their design
-  model, and of ``simultaneous`` under ple and ore as well;
+  coefficients at degrees 1, 3, 8 and ``cli.MAX_DEGREE`` (16) of the same
+  catalog entries in their design model (``simultaneous``: sim, the
+  bivariate case), and of ``simultaneous`` under ple and ore as well;
 - ``cli``: exit code, stdout and written files of the README commands.
 """
 
@@ -67,11 +68,13 @@ from compulse import (  # noqa: E402
     residual,
 )
 from compulse import su2  # noqa: E402
+from compulse.cli import MAX_DEGREE  # noqa: E402
 from compulse.verify import infidelity_grid  # noqa: E402
 
 THETAS = (math.pi, math.radians(37.0), math.radians(123.0))
 KINDS = ("ple", "ore", "sim")
 BUILD_THETAS = (*THETAS, math.radians(720.0))
+SERIES_DEGREES = (1, 3, 8, MAX_DEGREE)
 PHASES = (-0.4, 0.3, 1.1, 2.0, 4.5)
 PLE_KINDS = ("x1", "y1", "x1inv", "y1inv", "z1", "z2", "z2prime", "x2prime", "x3", "six_pulse_z2")
 OR_KINDS = ("b1", "y1prime", "x1", "y1", "x1prime", "z2", "z2prime", "x2")
@@ -241,15 +244,16 @@ def series_family() -> list[str]:
         runs.append((seq, seq.model_kind))
         if name == "simultaneous":
             runs += [(seq, "ple"), (seq, "ore")]
-    for seq, kind in runs:
-        d.add(f"{seq.name} {seq.target_theta!r} {kind}")
-        try:
-            a = residual(seq.pulses, seq.target, kind, 8)
-        except ValueError as exc:
-            d.add(f"ValueError: {exc}")
-            continue
-        d.call(lambda: repr(leading_error(a)))
-        d.call(lambda: fidelity_series(a).c)
+    for degree in SERIES_DEGREES:
+        for seq, kind in runs:
+            d.add(f"{seq.name} {seq.target_theta!r} {kind} {degree}")
+            try:
+                a = residual(seq.pulses, seq.target, kind, degree)
+            except ValueError as exc:
+                d.add(f"ValueError: {exc}")
+                continue
+            d.call(lambda: repr(leading_error(a)))
+            d.call(lambda: fidelity_series(a).c)
     return [d.line("series")]
 
 
