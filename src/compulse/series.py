@@ -1,22 +1,22 @@
 """Truncated bivariate power series over the two error fractions.
 
-A :class:`ScalarSeries` stores complex coefficients c[i, j] of eps^i * f^j for
-all exponent pairs with total degree i + j <= N; arithmetic never creates or
-reads terms beyond N, so the ring operations are exact on the retained
-coefficients.  A product sums each coefficient with ``np.bincount``, which
-adds in index order, over a per-degree table of coefficient pairs in the left
-factor's lexicographic (i, j) order, so every sum is one sequential sum, bit
-for bit.  A :class:`MatrixSeries` is an SU(2)-form 2x2 matrix of scalar
-series, held as its Cayley-Klein pair (alpha, beta), and is the symbolic
-counterpart of a propagator.  Every pulse, under every error model, is one
-closed form in x = m^2 = (1 + eps)^2 + f^2: alpha and beta are built from
-cos(theta sqrt(x)/2) and sin(theta sqrt(x)/2)/sqrt(x), which are entire in x,
-so their Taylor coefficients follow from one recurrence and are summed over
-the powers of u = x - 1.  Multiplying the per-pulse series gives the exact
-Taylor expansion of a composite sequence, from which residual error terms,
-their order, and the leading infidelity coefficient (|c_n|^2 / 2 for the
-leading sigma coefficient c_n) are read off directly; the fidelity |Tr(A)/2|
-of a residual A is the series +-Re(alpha).
+A :class:`ScalarSeries` stores the complex coefficients of eps^i * f^j with
+total degree d = i + j <= N as one vector graded by d, then by ascending i.
+Arithmetic never creates or reads terms beyond N, so the ring operations are
+exact on the retained coefficients.  A product sums each coefficient with
+``np.bincount``, which adds in index order, over a per-degree table of
+coefficient pairs grouped by the left factor's lexicographic (i, j) order, so
+every sum is one sequential sum, bit for bit.  A :class:`MatrixSeries` is an
+SU(2)-form 2x2 matrix of scalar series, held as its Cayley-Klein pair (alpha,
+beta), and is the symbolic counterpart of a propagator.  Every pulse, under
+every error model, is one closed form in x = m^2 = (1 + eps)^2 + f^2: alpha
+and beta are built from cos(theta sqrt(x)/2) and sin(theta sqrt(x)/2)/sqrt(x),
+which are entire in x, so their Taylor coefficients follow from one recurrence
+and are summed over the powers of u = x - 1.  Multiplying the per-pulse series
+gives the exact Taylor expansion of a composite sequence, from which residual
+error terms, their order, and the leading infidelity coefficient (|c_n|^2 / 2
+for the leading sigma coefficient c_n) are read off directly; the fidelity
+|Tr(A)/2| of a residual A is the series +-Re(alpha).
 
 This module is the oracle behind every order and coefficient claim; the
 ``verify`` module cross-checks it with plain matrix arithmetic.
@@ -39,16 +39,26 @@ _ZERO_TOL = 1e-10
 
 
 @lru_cache(maxsize=None)
-def _triangle(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Triangle i + j <= degree, and the flat indices (left, right, out) of every
-    coefficient pair whose product stays in it, in the left factor's (i, j) order."""
-    total = np.add.outer(np.arange(degree + 1), np.arange(degree + 1))
-    left, right = np.nonzero(np.add.outer(total.ravel(), total.ravel()) <= degree)
-    return total <= degree, left, right, left + right
+def _triangle(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exponents (i, j) of every position of the graded vector, and the
+    positions (left, right, out) of every coefficient pair whose product stays
+    in degree, grouped by the left factor's lexicographic (i, j)."""
+    d = np.repeat(np.arange(degree + 1), np.arange(1, degree + 2))
+    i = np.arange(d.size) - d * (d + 1) // 2
+    j = d - i
+    lex = np.lexsort((j, i))
+    left, right = np.nonzero(np.add.outer(d[lex], d) <= degree)
+    left = lex[left]
+    oi, od = i[left] + i[right], d[left] + d[right]
+    return i, j, left, right, od * (od + 1) // 2 + oi
 
 
 class ScalarSeries:
-    """Dense truncated power series in (eps, f) with complex coefficients."""
+    """Dense truncated power series in (eps, f) with complex coefficients.
+
+    ``c`` holds the (N+1)(N+2)/2 coefficients graded by total degree d = i + j,
+    then by ascending i: eps^i f^j sits at d(d+1)/2 + i, each degree a slice.
+    """
 
     __slots__ = ("degree", "c")
 
@@ -56,19 +66,15 @@ class ScalarSeries:
         if degree < 0:
             raise ValueError("series degree must be nonnegative")
         self.degree = int(degree)
-        if coeffs is None:
-            self.c = np.zeros((degree + 1, degree + 1), dtype=complex)
-        else:
-            c = np.array(coeffs, dtype=complex)
-            if c.shape != (degree + 1, degree + 1):
-                raise ValueError(f"coefficient array shape {c.shape} does not match degree {degree}")
-            c[~_triangle(degree)[0]] = 0.0
-            self.c = c
+        size = (degree + 1) * (degree + 2) // 2
+        self.c = np.zeros(size, dtype=complex) if coeffs is None else np.array(coeffs, dtype=complex)
+        if self.c.shape != (size,):
+            raise ValueError(f"coefficient array shape {self.c.shape} does not match degree {degree}")
 
     @classmethod
     def constant(cls, value: complex, degree: int) -> "ScalarSeries":
         s = cls(degree)
-        s.c[0, 0] = value
+        s.c[0] = value
         return s
 
     @classmethod
@@ -76,13 +82,10 @@ class ScalarSeries:
         """The series eps (name="eps") or f (name="f")."""
         if degree < 1:
             raise ValueError("need degree >= 1 to represent a variable")
-        s = cls(degree)
-        if name == "eps":
-            s.c[1, 0] = 1.0
-        elif name == "f":
-            s.c[0, 1] = 1.0
-        else:
+        if name not in ("eps", "f"):
             raise ValueError(f"unknown variable {name!r}")
+        s = cls(degree)
+        s.c[2 if name == "eps" else 1] = 1.0  # the positions of (1, 0) and (0, 1)
         return s
 
     def _check(self, other: "ScalarSeries") -> None:
@@ -94,7 +97,7 @@ class ScalarSeries:
             self._check(other)
             return ScalarSeries(self.degree, self.c + other.c)
         out = self.c.copy()
-        out[0, 0] += other
+        out[0] += other
         return ScalarSeries(self.degree, out)
 
     __radd__ = __add__
@@ -107,7 +110,7 @@ class ScalarSeries:
             self._check(other)
             return ScalarSeries(self.degree, self.c - other.c)
         out = self.c.copy()
-        out[0, 0] -= other
+        out[0] -= other
         return ScalarSeries(self.degree, out)
 
     def __rsub__(self, other):
@@ -117,12 +120,12 @@ class ScalarSeries:
         if not isinstance(other, ScalarSeries):
             return ScalarSeries(self.degree, self.c * other)
         self._check(other)
-        _, left, right, out = _triangle(self.degree)
-        t = self.c.ravel()[left] * other.c.ravel()[right]
+        *_, left, right, out = _triangle(self.degree)
+        t = self.c[left] * other.c[right]
         prod = np.empty(self.c.size, dtype=complex)
         prod.real = np.bincount(out, t.real, prod.size)
         prod.imag = np.bincount(out, t.imag, prod.size)
-        return ScalarSeries(self.degree, prod.reshape(self.c.shape))
+        return ScalarSeries(self.degree, prod)
 
     __rmul__ = __mul__
 
@@ -135,20 +138,16 @@ class ScalarSeries:
             raise ValueError(f"exponent pair ({i}, {j}) has a negative exponent")
         if i + j > self.degree:
             raise ValueError(f"exponent pair ({i}, {j}) exceeds degree {self.degree}")
-        return complex(self.c[i, j])
+        d = i + j
+        return complex(self.c[d * (d + 1) // 2 + i])
 
     def __call__(self, eps: float, f: float = 0.0) -> complex:
-        pe = eps ** np.arange(self.degree + 1)
-        pf = f ** np.arange(self.degree + 1)
-        return complex(pe @ self.c @ pf)
+        i, j = _triangle(self.degree)[:2]
+        return complex(self.c @ (eps**i * f**j))
 
     def __repr__(self):
-        nz = [
-            f"({i},{j}):{self.c[i, j]:.6g}"
-            for i in range(self.degree + 1)
-            for j in range(self.degree + 1 - i)
-            if self.c[i, j] != 0.0
-        ]
+        i, j = _triangle(self.degree)[:2]
+        nz = [f"({a},{b}):{v:.6g}" for a, b, v in zip(i, j, self.c) if v != 0.0]
         return f"ScalarSeries(N={self.degree}, {{{', '.join(nz[:8])}{'...' if len(nz) > 8 else ''}}})"
 
 
@@ -326,7 +325,7 @@ def fidelity_series(a: MatrixSeries) -> ScalarSeries:
     constant term must be within 1e-9 of unit modulus.
     """
     t = a.half_trace()
-    t0 = t.c[0, 0].real
+    t0 = t.c[0].real
     if not abs(abs(t0) - 1.0) <= 1e-9:  # written so that NaN fails it too
         raise ValueError("not a residual series: degree-0 half trace is not unit modulus")
     return t if t0 > 0.0 else -t

@@ -362,8 +362,7 @@ def residual_grid(pulses, kind: str, eps, f, u: np.ndarray) -> np.ndarray:
     of pulses in one step (see :func:`_pulse_matrices`); the product is then
     taken pulse by pulse, so W does not depend on the batching.
     """
-    w = _chain(_pulse_matrices(pulses, kind, eps, f))
-    return w @ np.swapaxes(u.conj(), -1, -2)
+    return _chain(_pulse_matrices(pulses, kind, eps, f)) @ adjoint(u)
 
 
 def taylor_coefficients(values: np.ndarray) -> np.ndarray:
@@ -397,8 +396,9 @@ def contour_sigma_norms(pulses, u: np.ndarray, points: int = CONTOUR_POINTS) -> 
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T.copy()
+    """Conjugate transpose of a matrix, or of each matrix of a stack along the
+    last two axes."""
+    return np.swapaxes(np.conjugate(m), -1, -2)
 
 
 def fidelity(v: np.ndarray, u: np.ndarray) -> float:
@@ -408,7 +408,7 @@ def fidelity(v: np.ndarray, u: np.ndarray) -> float:
     modulus discards the phase, which matters because 2pi rotations inside
     composite sequences contribute global factors of -1.
     """
-    overlap = 0.5 * np.trace(np.asarray(v) @ np.asarray(u).conj().T)
+    overlap = 0.5 * np.trace(np.asarray(v) @ adjoint(u))
     return min(abs(overlap), 1.0)
 
 

@@ -280,14 +280,11 @@ def _bisect(a: str, b: str, lo: float, hi: float, d_lo: float, d_hi: float) -> f
 
     A step's difference is composed at that one angle only when its midpoint
     lies inside the bracket (L, H) that :func:`_decided_bracket` leaves
-    undecided; the memo of composed angles lives for this call only.
+    undecided.
     """
-    memo: dict[float, float] = {}
 
     def difference(theta: float) -> float:
-        if theta not in memo:
-            memo[theta] = _degree3_magnitudes(a, (theta,))[0] - _degree3_magnitudes(b, (theta,))[0]
-        return memo[theta]
+        return _degree3_magnitudes(a, (theta,))[0] - _degree3_magnitudes(b, (theta,))[0]
 
     (l, d_l), (h, d_h) = _decided_bracket(difference, (lo, d_lo), (hi, d_hi), _rounding_floor(a, b, lo))
     up = hi > lo

@@ -289,6 +289,13 @@ class TestAdjoint:
         m = rotation(0.9, 2.2) @ rotation(0.1, 1.0)
         assert maxdiff(adjoint(adjoint(m)), m) == 0.0
 
+    def test_stack_is_adjoint_matrix_by_matrix(self):
+        stack = np.stack([rotation(0.3 * k, 0.7 * k) for k in range(3)])
+        got = adjoint(stack)
+        assert got.shape == (3, 2, 2)
+        for k in range(3):
+            assert maxdiff(got[k], stack[k].conj().T) == 0.0
+
 
 class TestPauliDecompose:
     def test_identity(self):

@@ -28,8 +28,10 @@ equal digests mean equal bits.  The families:
   every catalog entry at ``THETAS`` and 720 degrees, of every
   ``ple_pure_error`` and ``or_pure_error`` kind at five phases, and the
   message of every refused name, angle, kind and phase count;
-- ``series``: the ``leading_error`` report and the ``fidelity_series``
-  coefficients at degrees 1, 3, 8 and ``cli.MAX_DEGREE`` (16) of the same
+- ``series``: the ``leading_error`` report, and the coefficients of the
+  residual's alpha and beta and of its ``fidelity_series``, read through
+  ``coeff(i, j)`` in lexicographic (i, j) order so that the storage layout
+  does not enter, at degrees 1, 3, 8 and ``cli.MAX_DEGREE`` (16) of the same
   catalog entries in their design model (``simultaneous``: sim, the
   bivariate case), and of ``simultaneous`` under ple and ore as well;
 - ``cli``: exit code, stdout and written files of the README commands.
@@ -237,6 +239,11 @@ def sequence_family() -> list[str]:
     return [d.line("sequences")]
 
 
+def _coefficients(s) -> np.ndarray:
+    """Every coefficient of a scalar series, in lexicographic (i, j) order."""
+    return np.array([s.coeff(i, j) for i in range(s.degree + 1) for j in range(s.degree + 1 - i)])
+
+
 def series_family() -> list[str]:
     d = Digest()
     runs = []
@@ -253,7 +260,9 @@ def series_family() -> list[str]:
                 d.add(f"ValueError: {exc}")
                 continue
             d.call(lambda: repr(leading_error(a)))
-            d.call(lambda: fidelity_series(a).c)
+            d.add(_coefficients(a.alpha))
+            d.add(_coefficients(a.beta))
+            d.call(lambda: _coefficients(fidelity_series(a)))
     return [d.line("series")]
 
 
