@@ -39,6 +39,10 @@ class DocumentError(ValueError):
     """A sequence document is malformed or violates the schema."""
 
 
+class UnsolvableTarget(ValueError):
+    """A catalog entry has no sequence for the requested target angle."""
+
+
 def _round12(x: float) -> float:
     return float(f"{x:.12g}")
 
@@ -148,12 +152,16 @@ def document_to_sequence(doc: SequenceDocument) -> PulseSequence:
 
 
 def _load_sequence(spec: str, theta_deg: float) -> PulseSequence:
-    """A catalog name or a path to a sequence document."""
+    """A catalog name or a path to a sequence document.
+
+    A catalog entry that refuses the angle raises :class:`UnsolvableTarget`,
+    a bad document :class:`DocumentError`.
+    """
     if spec in CATALOG:
         try:
             return build(spec, math.radians(theta_deg))
         except ValueError as exc:
-            raise DocumentError(str(exc)) from exc
+            raise UnsolvableTarget(str(exc)) from exc
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -207,9 +215,9 @@ def cmd_synth(args) -> int:
 def cmd_verify(args) -> int:
     try:
         seq = _load_sequence(args.sequence, args.theta)
-    except DocumentError as exc:
+    except (DocumentError, UnsolvableTarget) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_UNSOLVABLE if isinstance(exc, UnsolvableTarget) else EXIT_USAGE
     model_kind = args.model or seq.model_kind
     axis = KIND_AXIS.get(model_kind)
     if axis is None:
@@ -262,9 +270,9 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     try:
         seq = _load_sequence(args.sequence, args.theta)
-    except DocumentError as exc:
+    except (DocumentError, UnsolvableTarget) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_UNSOLVABLE if isinstance(exc, UnsolvableTarget) else EXIT_USAGE
     model_kind = args.model or seq.model_kind
     try:
         if model_kind == SIMULTANEOUS:

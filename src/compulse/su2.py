@@ -23,11 +23,19 @@ once per distinct angle and shared by every pulse of that angle.  The phase
 parts of a batch of consecutive pulses are built in one step, on arrays with
 a leading pulse axis; a batch covers about ``_BATCH_POINTS`` grid points, so a
 scalar point builds its whole sequence at once and a large grid goes pulse by
-pulse.  Each matrix is still the one a lone pulse gives, bit for bit.
+pulse.  Each matrix is still the one a lone pulse gives, bit for bit.  What
+the loop reads of the pulse list alone (the distinct angles, each pulse's
+place among them, the cosine and sine of every phase, whether any pulse is
+flipped) is its plan, and the plan of the most recent tuple of
+:class:`Pulse` is kept, keyed by the tuple's identity, so a sweep that
+passes one tuple point by point plans it once.  Lists are planned on every
+call, since they may change between calls.
 
-All matrices are plain complex numpy arrays, all functions are pure, and the
-small value types are frozen dataclasses, so everything is safe to share
-across threads.
+All matrices are plain complex numpy arrays, and the small value types are
+frozen dataclasses.  Every function is pure except for that one kept plan,
+which is rebound in a single assignment and holds arrays that refuse
+writes, so threads that race on it at worst plan the same tuple twice;
+everything is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -249,13 +258,69 @@ def rotation(theta: float, phi: float) -> np.ndarray:
     return _axis_angle(theta, phi, 1.0, 0.0)
 
 
+class _Plan(NamedTuple):
+    """What the pulse loop reads of a pulse list, whatever the error fractions."""
+
+    angles: np.ndarray  # distinct pulse angles, in order of first use, along a leading axis
+    index: np.ndarray  # position in ``angles`` of every pulse's angle
+    trig: np.ndarray  # cos and sin of every pulse's phase, (2, pulses) + the phase shape
+    flipped: bool  # whether any pulse was built from a negative-angle request
+
+
+#: (pulse tuple, its plan) for the most recent tuple of Pulse; see _plan
+_last_plan = None
+
+
+def _plan(pulses) -> _Plan:
+    """The :class:`_Plan` of ``pulses``.
+
+    A pulse's angle is keyed by its value, or by its bytes when it is an
+    array column of several sequences.  The plan of the most recent tuple of
+    :class:`Pulse` is kept, keyed by the tuple's identity, which the entry's
+    reference keeps from being reused; such a tuple cannot change.  Any other
+    iterable, a list above all, is planned afresh on every call.  The entry
+    is rebound in one assignment and its arrays refuse writes, so threads
+    that race on it at worst plan the same tuple twice.
+    """
+    global _last_plan
+    entry = _last_plan
+    if entry is not None and entry[0] is pulses:
+        return entry[1]
+    keys, angles, index, cos_phi, sin_phi, flipped = {}, [], [], [], [], False
+    for pulse in pulses:
+        angle = pulse.angle
+        if isinstance(angle, np.ndarray):
+            key = angle.tobytes()
+        else:
+            # 0.0 == -0.0 as keys, but their matrices differ in the signs of zeros
+            key = angle if angle else repr(angle)
+        at = keys.get(key)
+        if at is None:
+            at = keys[key] = len(angles)
+            angles.append(angle)
+        index.append(at)
+        c, s = _phase_trig(pulse.phase)
+        cos_phi.append(c)
+        sin_phi.append(s)
+        flipped = flipped or getattr(pulse, "flipped", False)
+    plan = _Plan(np.array(angles, dtype=float), np.array(index, dtype=np.intp), np.array((cos_phi, sin_phi)), flipped)
+    for array in plan[:3]:
+        array.setflags(write=False)
+    if type(pulses) is tuple and all(isinstance(pulse, Pulse) for pulse in pulses):
+        _last_plan = (pulses, plan)
+    return plan
+
+
 def _pulse_matrices(pulses, kind: str, eps, f):
     """Propagators of ``pulses`` under error model ``kind`` at fractions (eps, f), in order.
 
-    w, f and m = |(w, f)| are computed once per call, and the angle part of
-    :func:`_axis_angle` once per distinct pulse angle: composite sequences
-    repeat a few angles at many phases.  A pulse's angle is keyed by its
-    value, or by its bytes when it is an array column of several sequences.
+    Everything that depends only on the pulse list comes from its
+    :func:`_plan`: the distinct angles, which of them each pulse has, the
+    cosine and sine of every phase and whether any pulse is flipped.  A call
+    computes w, f and m = |(w, f)| once, and the angle part of
+    :func:`_axis_angle` once per distinct angle, for all of them in one step
+    along an axis ahead of the grid's: composite sequences repeat a few
+    angles at many phases.
 
     The phase part is built for a batch of consecutive pulses at once: their
     angle parts are stacked along a leading pulse axis, and one
@@ -263,47 +328,39 @@ def _pulse_matrices(pulses, kind: str, eps, f):
     ``max(1, _BATCH_POINTS // grid points)`` pulses, so a scalar point or a
     contour builds a whole sequence in one step, while a large grid goes one
     pulse at a time and its stacks stay small.  Each yielded matrix equals the
-    one :func:`_axis_angle` gives for that pulse alone, bit for bit.
+    one :func:`_axis_angle` gives for that pulse alone, bit for bit, unless a
+    fraction is a complex scalar: numpy may round a product of complex
+    scalars otherwise than the same product inside an array.
     """
     if kind_of(kind) == PULSE_LENGTH:
         stretch, w, f = 1.0 + eps, 1.0, 0.0
     else:
         stretch, w = None, (1.0 + eps if kind == SIMULTANEOUS else 1.0)
+    plan = _plan(pulses)
+    if stretch is None and plan.flipped:
+        raise flipped_pulse_error()
+    if not len(plan.index):
+        return
     m = _modulus(w, f)
-    parts, batch, size = {}, [], None
-    for pulse in pulses:
-        if stretch is None and pulse.flipped:
-            raise flipped_pulse_error()
-        angle = pulse.angle
-        if isinstance(angle, np.ndarray):
-            key = angle.tobytes()
-        else:
-            # 0.0 == -0.0 as keys, but their matrices differ in the signs of zeros
-            key = angle if angle else repr(angle)
-        part = parts.get(key)
-        if part is None:
-            part = parts[key] = _angle_part(angle if stretch is None else angle * stretch, m, f)
-        if size is None:
-            size = max(1, _BATCH_POINTS // max(part[0].size, 1))
-        batch.append((part, _phase_trig(pulse.phase)))
-        if len(batch) == size:
-            yield from _phase_batch(batch, w)
-            batch = []
-    if batch:
-        yield from _phase_batch(batch, w)
-
-
-def _phase_batch(batch, w):
-    """The matrices of a batch of (angle part, phase trig) pairs, in order."""
-    if len(batch) == 1:
-        part, trig = batch[0]
-        return (_phase_part(*part, *trig, w),)
-    parts, trigs = zip(*batch)
-    c, s, sz = (np.array(column) for column in zip(*parts))
-    cos_phi, sin_phi = (np.array(column) for column in zip(*trigs))
-    # float phases give one value per pulse: align it with the pulse axis of c
-    lead = cos_phi.shape + (1,) * (c.ndim - cos_phi.ndim)
-    return _phase_part(c, s, sz, cos_phi.reshape(lead), sin_phi.reshape(lead), w)
+    # the distinct angles' axis goes ahead of the grid's axes
+    grid = m if stretch is None else stretch
+    angles = plan.angles
+    pad = np.ndim(grid) - (angles.ndim - 1)
+    if pad > 0:
+        angles = angles.reshape(angles.shape[:1] + (1,) * pad + angles.shape[1:])
+    parts = _angle_part(angles if stretch is None else angles * stretch, m, f)
+    size = max(1, _BATCH_POINTS // max(parts[0][0].size, 1))
+    if size == 1:
+        for at, cos_phi, sin_phi in zip(plan.index.tolist(), *plan.trig):
+            yield _phase_part(*(part[at] for part in parts), cos_phi, sin_phi, w)
+        return
+    for start in range(0, len(plan.index), size):
+        at = plan.index[start:start + size]
+        c, s, sz = (part[at] for part in parts)
+        cos_phi, sin_phi = plan.trig[:, start:start + size]
+        # float phases give one value per pulse: align it with the pulse axis of c
+        lead = cos_phi.shape + (1,) * (c.ndim - cos_phi.ndim)
+        yield from _phase_part(c, s, sz, cos_phi.reshape(lead), sin_phi.reshape(lead), w)
 
 
 def pulse_matrix(pulse: Pulse, kind: str, eps, f) -> np.ndarray:
@@ -313,7 +370,8 @@ def pulse_matrix(pulse: Pulse, kind: str, eps, f) -> np.ndarray:
     and may be complex (see :func:`_axis_angle`); the fraction a model does
     not carry is ignored.  An unknown ``kind`` raises ``ValueError``.
     """
-    return next(_pulse_matrices((pulse,), kind, eps, f))
+    # a list is never kept, so a lone pulse does not displace a sweep's kept plan
+    return next(_pulse_matrices([pulse], kind, eps, f))
 
 
 def propagator(pulse: Pulse, model: ErrorModel) -> np.ndarray:
@@ -349,6 +407,12 @@ def _chain(matrices) -> np.ndarray:
     return out
 
 
+def compose_grid(pulses, kind: str, eps, f) -> np.ndarray:
+    """The sequence V composed under error model ``kind`` at every point of
+    the broadcast grid of (eps, f); see :func:`residual_grid`."""
+    return _chain(_pulse_matrices(pulses, kind, eps, f))
+
+
 def residual_grid(pulses, kind: str, eps, f, u: np.ndarray) -> np.ndarray:
     """W = V U^dag at every point of the broadcast grid of (eps, f).
 
@@ -362,7 +426,7 @@ def residual_grid(pulses, kind: str, eps, f, u: np.ndarray) -> np.ndarray:
     of pulses in one step (see :func:`_pulse_matrices`); the product is then
     taken pulse by pulse, so W does not depend on the batching.
     """
-    return _chain(_pulse_matrices(pulses, kind, eps, f)) @ adjoint(u)
+    return compose_grid(pulses, kind, eps, f) @ adjoint(u)
 
 
 def taylor_coefficients(values: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .sequences import build
-from .su2 import CONTOUR_RADIUS, KIND_AXIS, SIMULTANEOUS, Pulse, contour_sigma_norms, residual_grid, rotation
+from .su2 import CONTOUR_RADIUS, KIND_AXIS, SIMULTANEOUS, Pulse, adjoint, compose_grid, contour_sigma_norms, rotation
 
 #: sweep defaults: geometric grid and the infidelity window used for fitting
 GRID_MIN, GRID_MAX, GRID_POINTS = 1e-4, 1e-1, 25
@@ -52,15 +52,43 @@ class _PulseColumn(NamedTuple):
     phase: np.ndarray
 
 
+#: ((angle, phase) key, U, U^dag) of the most recent target; see _target_matrices
+_last_target = None
+
+
+def _target_matrices(target: Pulse) -> tuple[np.ndarray, np.ndarray]:
+    """U and U^dag of the ideal rotation ``target``, kept for the most recent target.
+
+    ``PulseSequence.target`` makes a new Pulse on every access, so the entry
+    is keyed by the target's angle and phase, a zero by its ``repr``: -0.0
+    gives other signs of zeros than 0.0.  It is rebound in one assignment and
+    its matrices refuse writes, so threads that race on it at worst build the
+    same matrices twice.
+    """
+    global _last_target
+    angle, phase = target.angle, target.phase
+    key = (angle if angle else repr(angle), phase if phase else repr(phase))
+    entry = _last_target
+    if entry is not None and entry[0] == key:
+        return entry[1:]
+    u = rotation(angle, phase)
+    u_dag = adjoint(u)
+    u.setflags(write=False)
+    u_dag.setflags(write=False)
+    _last_target = (key, u, u_dag)
+    return u, u_dag
+
+
 def infidelity_grid(pulses, kind: str, eps, f, target: Pulse) -> np.ndarray:
     """1 - |Tr(V U^dag)|/2 at every point of the broadcast grid of (eps, f).
 
     With W = V U^dag = a0 I + a.sigma (see :func:`~compulse.su2.residual_grid`), the
     infidelity is evaluated as |a|^2 / (1 + |a0|), which equals 1 - |a0| for
     unitary W but involves no cancellation, so float64 resolves it far below
-    1e-16.
+    1e-16.  U^dag comes from :func:`_target_matrices`, so a sweep point by
+    point builds it once.
     """
-    w = residual_grid(pulses, kind, eps, f, rotation(target.angle, target.phase))
+    w = compose_grid(pulses, kind, eps, f) @ _target_matrices(target)[1]
     a0 = np.abs(w[..., 0, 0] + w[..., 1, 1]) / 2.0
     az = np.abs(w[..., 0, 0] - w[..., 1, 1]) / 2.0
     # |a_x|^2 + |a_y|^2 = (|w01|^2 + |w10|^2) / 2
@@ -215,11 +243,12 @@ def _degree3_magnitudes(name: str, thetas) -> np.ndarray:
     Several angles are composed together: pulse position j of every sequence
     enters the pulse loop as one :class:`_PulseColumn` against the contour,
     and the targets as an (n, 1, 2, 2) stack.  A single angle composes its
-    sequence's own pulses, which is faster for one point.
+    sequence's own pulses, which is faster for one point, against the U of
+    :func:`_target_matrices`, which the two variants of a bisection step share.
     """
     seqs = [build(name, theta) for theta in thetas]
     if len(seqs) == 1:
-        pulses, u = seqs[0].pulses, rotation(seqs[0].target.angle, seqs[0].target.phase)
+        pulses, u = seqs[0].pulses, _target_matrices(seqs[0].target)[0]
     else:
         if len({len(seq.pulses) for seq in seqs}) > 1:
             raise ValueError(f"{name} has a different pulse count at different angles of the angle grid")

@@ -174,6 +174,14 @@ class TestVerify:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name, theta", [("bb1", "0"), ("sk3", "90")])
+    def test_unsolvable_theta(self, name, theta, capsys):
+        # the catalog refuses the angle, as for synth
+        assert run_main("verify", name, "--order", "3", "--theta", theta) == EXIT_UNSOLVABLE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
     def test_sim_model_needs_axis(self, capsys):
         assert run_main("verify", "simultaneous", "--expect-order", "3") == EXIT_USAGE
 
@@ -236,6 +244,13 @@ class TestSweep:
     def test_flipped_pulse_off_resonance(self, model, capsys):
         # a negative target angle flips the pulse, which off-resonance models refuse
         assert run_main("sweep", "simple", "--theta", "-90", "--model", model) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("name, theta", [("bb1", "0"), ("sk3", "90")])
+    def test_unsolvable_theta(self, name, theta, capsys):
+        assert run_main("sweep", name, "--theta", theta) == EXIT_UNSOLVABLE
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.out == ""

@@ -486,3 +486,78 @@ class TestPulseLoop:
             series.residual(corpse.pulses, corpse.target, kind, 2)
         with pytest.raises(ValueError, match=match):
             ErrorModel(kind)
+
+    def test_large_float_grid_equals_lone_pulses(self):
+        # 2000 points: one pulse per batch, each phase's cosine read from the plan
+        grid = np.geomspace(1e-4, 1e-1, 2000) * (1.0 + 0.5j)
+        seq = build("or-second-xz", math.pi)
+        for kind in ("ple", "ore", "sim"):
+            eps, f = self._fractions(kind, grid)
+            got = residual_grid(seq.pulses, kind, eps, f, su2.IDENTITY)
+            lone = _chain(self._lone_pulse(p, kind, eps, f) for p in seq)
+            assert got.tobytes() == lone.tobytes()
+
+
+class TestPlanMemo:
+    """The plan of the most recent pulse tuple is kept; lists are planned on every call."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self, monkeypatch):
+        monkeypatch.setattr(su2, "_last_plan", None)
+
+    @staticmethod
+    def _cold(pulses, kind, eps, f):
+        su2._last_plan = None
+        return residual_grid(pulses, kind, eps, f, su2.IDENTITY)
+
+    def test_mutated_list_gives_new_result(self):
+        pulses = list(build("bb1", math.pi).pulses)
+        first = residual_grid(pulses, "ple", 0.013, 0.0, su2.IDENTITY)
+        pulses[1] = Pulse(pulses[1].angle, pulses[1].phase + 0.5)
+        pulses.append(Pulse(0.7, 1.1))
+        got = residual_grid(pulses, "ple", 0.013, 0.0, su2.IDENTITY)
+        assert not np.array_equal(got, first)
+        assert got.tobytes() == _chain(pulse_matrix(p, "ple", 0.013, 0.0) for p in pulses).tobytes()
+        assert su2._last_plan is None
+
+    def test_mutated_column_list_gives_new_result(self):
+        columns = [_PulseColumn(np.full((3, 1), 1.0), np.full((3, 1), 0.2)) for _ in range(4)]
+        first = residual_grid(columns, "ple", CONTOUR_EPS, 0.0, su2.IDENTITY)
+        columns[2].phase[:] = 1.4
+        columns[3].angle[1] = 2.5
+        got = residual_grid(columns, "ple", CONTOUR_EPS, 0.0, su2.IDENTITY)
+        assert not np.array_equal(got, first)
+        assert got.tobytes() == _chain(pulse_matrix(c, "ple", CONTOUR_EPS, 0.0) for c in columns).tobytes()
+
+    def test_tuple_of_columns_not_kept(self):
+        columns = tuple(_PulseColumn(np.full((3, 1), 1.0), np.full((3, 1), 0.2)) for _ in range(2))
+        residual_grid(columns, "ple", 0.01, 0.0, su2.IDENTITY)
+        assert su2._last_plan is None
+
+    def test_flipped_pulse_refused_after_ple_hit(self):
+        pulses = (Pulse(1.0, 0.3), Pulse(-1.0, 0.0))
+        residual_grid(pulses, "ple", 0.01, 0.0, su2.IDENTITY)
+        residual_grid(pulses, "ple", 0.02, 0.0, su2.IDENTITY)
+        assert su2._last_plan[0] is pulses
+        for kind in ("ore", "sim"):
+            with pytest.raises(ValueError, match="nonnegative angles only"):
+                residual_grid(pulses, kind, 0.01, 0.02, su2.IDENTITY)
+
+    @pytest.mark.parametrize("grid", ["scalar", "100 points", "contour"])
+    def test_interleaved_tuples_match_cold_calls(self, grid):
+        a, b = build("sk3", math.pi).pulses, build("or-second-xz", math.pi).pulses
+        for kind in ("ple", "ore", "sim"):
+            eps, f = TestPulseLoop._fractions(kind, TestPulseLoop.GRIDS[grid])
+            cold = {id(p): self._cold(p, kind, eps, f).tobytes() for p in (a, b)}
+            for pulses in (a, a, b, a, b, b):
+                assert residual_grid(pulses, kind, eps, f, su2.IDENTITY).tobytes() == cold[id(pulses)]
+                assert su2._last_plan[0] is pulses
+
+    def test_kept_arrays_refuse_writes(self):
+        pulses = build("sk3", math.pi).pulses
+        residual_grid(pulses, "sim", 0.013, 0.007, su2.IDENTITY)
+        kept, plan = su2._last_plan
+        assert kept is pulses
+        for array in (plan.angles, plan.index, plan.trig):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0

@@ -2,12 +2,15 @@
 
 import ast
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import compulse.sequences
 import compulse.series
+import compulse.su2
 import compulse.verify
 from compulse import Pulse, residual
 from compulse.sequences import CATALOG, build, corpse, ple_pure_error, shift_phases, solve_third_order
@@ -362,6 +365,89 @@ class TestBatchedMagnitudes:
     def test_rejects_uncorrected_angle_in_batch(self):
         with pytest.raises(ValueError, match="not second-order correct"):
             _degree3_magnitudes("simple", np.radians([90.0, 180.0]))
+
+
+class TestTargetMemo:
+    """U and U^dag of the most recent target are kept, keyed by its value."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self, monkeypatch):
+        monkeypatch.setattr(compulse.verify, "_last_target", None)
+        monkeypatch.setattr(compulse.su2, "_last_plan", None)
+
+    @staticmethod
+    def _cold(seq, kind, eps, f):
+        compulse.verify._last_target = None
+        compulse.su2._last_plan = None
+        return infidelity_grid(seq.pulses, kind, eps, f, seq.target)
+
+    def test_target_kept_by_value(self):
+        seq = build("sk3", PI)
+        assert seq.target is not seq.target
+        infidelity_ld(seq.pulses, "ple", 0.01, 0.0, seq.target)
+        kept = compulse.verify._last_target
+        infidelity_ld(seq.pulses, "ple", 0.02, 0.0, seq.target)
+        assert compulse.verify._last_target is kept
+        u, u_dag = kept[1:]
+        assert np.array_equal(u, rotation(PI, 0.0))
+        assert np.array_equal(u_dag, rotation(PI, 0.0).conj().T)
+
+    def test_signed_zero_targets_kept_apart(self):
+        # the matrices of 0.0 and -0.0 differ in the signs of zeros
+        assert rotation(0.0, 0.0).tobytes() != rotation(-0.0, 0.0).tobytes()
+        for angle in (0.0, -0.0, 0.0):
+            infidelity_grid((Pulse(0.3, 0.2),), "ple", 0.01, 0.0, Pulse(angle, 0.0))
+            assert compulse.verify._last_target[1].tobytes() == rotation(angle, 0.0).tobytes()
+
+    @pytest.mark.parametrize("eps", [0.013, geometric_grid()], ids=["point", "grid"])
+    def test_interleaved_sequences_match_cold_calls(self, eps):
+        seqs = [build("bb1", PI), build("bb1", math.radians(37.0)), build("corpse", PI)]
+        for kind in ("ple", "ore", "sim"):
+            cold = [self._cold(seq, kind, eps, 0.007).tobytes() for seq in seqs]
+            for i in (0, 0, 1, 0, 2, 2, 1):
+                got = infidelity_grid(seqs[i].pulses, kind, eps, 0.007, seqs[i].target)
+                assert got.tobytes() == cold[i]
+
+    def test_flipped_pulse_refused_after_ple_hit(self):
+        seq = build("simple", -PI / 2)
+        assert seq.pulses[0].flipped
+        infidelity_ld(seq.pulses, "ple", 0.01, 0.0, seq.target)
+        for kind in ("ore", "sim"):
+            with pytest.raises(ValueError, match="nonnegative angles only"):
+                infidelity_ld(seq.pulses, kind, 0.01, 0.02, seq.target)
+
+    def test_threads_racing_on_the_memos_keep_every_bit(self):
+        seqs = [build(name, theta) for name, theta in
+                (("bb1", PI), ("bb1", math.radians(37.0)), ("corpse", PI), ("sk3", PI), ("simple", 0.3))]
+        want = [self._cold(seq, "sim", 0.013, 0.007).tobytes() for seq in seqs]
+        bad, done = [], []
+
+        def work(i):
+            for _ in range(200):
+                seq = seqs[i]
+                if infidelity_grid(seq.pulses, "sim", 0.013, 0.007, seq.target).tobytes() != want[i]:
+                    bad.append(i)
+            done.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(seqs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(done) == list(range(len(seqs)))
+        assert bad == []
+
+    def test_kept_matrices_refuse_writes(self):
+        infidelity_ld((Pulse(0.3, 0.2),), "ple", 0.01, 0.0, Pulse(0.3, 0.2))
+        for matrix in compulse.verify._last_target[1:]:
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] = 0.0
 
 
 class TestContour:

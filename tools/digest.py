@@ -14,6 +14,11 @@ equal digests mean equal bits.  The families:
 - ``infidelity_grid``: every catalog entry at 180, 37 and 123 degrees under
   ple, ore and sim, on a scalar point, a 1-D grid, an (E,1)x(1,F) grid and a
   complex contour;
+- ``infidelity_repeats``: ``infidelity_grid`` called again and again on the
+  same pulse tuples, as a sweep does point by point: each sequence's tuple
+  twice in a row, each pair of consecutive sequences alternating, and a
+  tuple with a flipped pulse under ple, then ore and sim (refused), then ple
+  again, so that a kept plan or target cannot change a bit or a refusal;
 - ``su2``: ``pulse_matrix``, ``propagator``, ``compose`` and ``residual_grid``
   of the same sequences;
 - ``contour_sigma_norms``: 32 and 64 nodes, the same sequences;
@@ -156,7 +161,24 @@ def grid_families() -> list[str]:
             mats.call(compose, seq, model)
         for points in (32, 64):
             norms.call(su2.contour_sigma_norms, seq.pulses, u, points)
-    return [infid.line("infidelity_grid"), mats.line("su2"), norms.line("contour_sigma_norms")]
+    return [infid.line("infidelity_grid"), repeat_family(), mats.line("su2"), norms.line("contour_sigma_norms")]
+
+
+def repeat_family() -> str:
+    d = Digest()
+    seqs = [seq for _, seq in _sequences()]
+    for kind in KINDS:
+        for eps, f in (GRIDS["scalar"](kind), GRIDS["1-D"](kind)):
+            for seq in seqs:
+                for _ in range(2):
+                    d.call(infidelity_grid, seq.pulses, kind, eps, f, seq.target)
+            for a, b in zip(seqs, seqs[1:]):
+                for seq in (a, b, a, b):
+                    d.call(infidelity_grid, seq.pulses, kind, eps, f, seq.target)
+    flipped = build("simple", -math.pi / 2)
+    for kind in ("ple", "ore", "sim", "ple"):
+        d.call(infidelity_grid, flipped.pulses, kind, 0.013, 0.007, flipped.target)
+    return d.line("infidelity_repeats")
 
 
 def _scan(d: Digest, names, thetas) -> float | None:
