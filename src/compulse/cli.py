@@ -5,7 +5,8 @@ radians.  Sequence documents are JSON with a fixed schema and chronological
 pulse order; sweeps are plain CSV.
 
 Exit codes: 0 success, 1 verification mismatch, 2 bad usage or malformed
-input, 3 unsolvable target angle, 4 unwritable output.
+input, 3 unsolvable target angle, 4 unwritable output.  Commands return 0 or 1
+and raise a :class:`CliError` for a refusal; :func:`main` alone decides exit codes.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -25,7 +27,7 @@ from .su2 import KIND_AXIS, MODEL_KINDS, SIMULTANEOUS, Pulse
 
 SCHEMA_VERSION = 1
 _INT_METADATA = ("na", "nb", "nc")
-#: largest accepted ``verify --degree``; a series holds (N+1)^2 coefficients
+#: largest accepted ``verify --degree``; a series holds (N+1)(N+2)/2 coefficients
 MAX_DEGREE = 16
 
 EXIT_OK = 0
@@ -35,12 +37,26 @@ EXIT_UNSOLVABLE = 3
 EXIT_UNWRITABLE = 4
 
 
-class DocumentError(ValueError):
+class CliError(Exception):
+    """A refused command: its message is the ``error:`` line, ``code`` the exit code."""
+
+    code = EXIT_USAGE
+
+
+class DocumentError(CliError, ValueError):
     """A sequence document is malformed or violates the schema."""
 
 
-class UnsolvableTarget(ValueError):
+class UnsolvableTarget(CliError, ValueError):
     """A catalog entry has no sequence for the requested target angle."""
+
+    code = EXIT_UNSOLVABLE
+
+
+class Unwritable(CliError):
+    """The output file or stdout cannot be written."""
+
+    code = EXIT_UNWRITABLE
 
 
 def _round12(x: float) -> float:
@@ -151,6 +167,16 @@ def document_to_sequence(doc: SequenceDocument) -> PulseSequence:
     )
 
 
+def _catalog_sequence(name: str, theta_deg: float) -> PulseSequence:
+    """The catalog entry ``name`` at ``theta_deg``; an unknown name or a refused angle is a refusal."""
+    if name not in CATALOG:
+        raise CliError(f"unknown sequence name {name!r}")
+    try:
+        return build(name, math.radians(theta_deg))
+    except ValueError as exc:
+        raise UnsolvableTarget(str(exc)) from exc
+
+
 def _load_sequence(spec: str, theta_deg: float) -> PulseSequence:
     """A catalog name or a path to a sequence document.
 
@@ -158,121 +184,118 @@ def _load_sequence(spec: str, theta_deg: float) -> PulseSequence:
     a bad document :class:`DocumentError`.
     """
     if spec in CATALOG:
-        try:
-            return build(spec, math.radians(theta_deg))
-        except ValueError as exc:
-            raise UnsolvableTarget(str(exc)) from exc
+        return _catalog_sequence(spec, theta_deg)
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError:
         raise DocumentError(f"{spec!r} is neither a catalog name nor a readable file") from None
+    except UnicodeDecodeError:
+        raise DocumentError(f"{spec!r} is not UTF-8 text") from None
     return document_to_sequence(parse_document(text))
 
 
 def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write ``text`` to ``path``, or to stdout for None or "-": the CLI's only writer."""
+    to_stdout = path is None or path == "-"
+    try:
+        if to_stdout:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        if to_stdout:  # so that the flush at interpreter exit cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, 1)
+            os.close(devnull)
+        raise Unwritable(f"cannot write output: {exc}") from exc
+
+
+def _option(spec: str, parse, message: str, valid=lambda value: True):
+    """``parse(spec)``; argparse refuses the option with ``message`` unless it reads and is ``valid``."""
+    try:
+        value = parse(spec)
+        if not valid(value):
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{message}, got {spec!r}") from None
+    return value
+
+
+def _min_max_points(spec: str) -> tuple[float, float, int]:
+    """``min:max:points`` with finite ends and points >= 1, or ValueError."""
+    lo, hi, n = spec.split(":")
+    lo, hi, n = float(lo), float(hi), int(n)
+    if n < 1 or not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError
+    return lo, hi, n
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    try:
-        lo, hi, n = spec.split(":")
-        lo, hi, n = float(lo), float(hi), int(n)
-        finite = math.isfinite(lo) and math.isfinite(hi)
-        if n < 1 or not finite or lo < 0 or hi < lo or (lo == 0.0 and hi > lo):
-            raise ValueError
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"grid must be min:max:points with finite 0 <= min <= max (geometric needs min > 0), got {spec!r}"
-        ) from None
-    if lo == hi:
-        return np.full(n, lo)
-    return np.geomspace(lo, hi, n)
+    lo, hi, n = _option(spec, _min_max_points,
+                        "grid must be min:max:points with finite 0 <= min <= max (geometric needs min > 0)",
+                        lambda r: 0 <= r[0] <= r[1] and (r[0] > 0 or r[0] == r[1]))
+    return np.full(n, lo) if lo == hi else np.geomspace(lo, hi, n)
 
 
 def cmd_synth(args) -> int:
-    if args.name not in CATALOG:
-        print(f"error: unknown sequence name {args.name!r}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        seq = build(args.name, math.radians(args.theta))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSOLVABLE
-    doc = build_document(seq)
-    try:
-        _write_text(args.out, serialize_document(doc))
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_UNWRITABLE
+    seq = _catalog_sequence(args.name, args.theta)
+    _write_text(args.out, serialize_document(build_document(seq)))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        seq = _load_sequence(args.sequence, args.theta)
-    except (DocumentError, UnsolvableTarget) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSOLVABLE if isinstance(exc, UnsolvableTarget) else EXIT_USAGE
+    seq = _load_sequence(args.sequence, args.theta)
     model_kind = args.model or seq.model_kind
     axis = KIND_AXIS.get(model_kind)
     if axis is None:
-        print("error: verify needs a single error axis; use --model ple or --model ore", file=sys.stderr)
-        return EXIT_USAGE
+        raise CliError("verify needs a single error axis; use --model ple or --model ore")
     try:
-        report = _series.leading_error(
-            _series.residual(seq.pulses, seq.target, model_kind, args.degree)
-        )
+        report = _series.leading_error(_series.residual(seq.pulses, seq.target, model_kind, args.degree))
     except ValueError as exc:
         # declared target does not match the pulse list (or similar defect)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CliError(str(exc)) from exc
     sweep = _verify.estimate_order(seq, axis)
-    series_order = report.order
-    numeric_order = sweep.order
     coeff = report.infidelity_coefficient
-    ok = series_order == args.expect_order and numeric_order == args.expect_order
+    ok = report.order == args.expect_order and sweep.order == args.expect_order
     if args.json:
         payload = {
             "sequence": seq.name,
             "target_theta_deg": math.degrees(seq.target_theta),
             "error_model": model_kind,
-            "series_order": series_order,
-            "numeric_order": numeric_order,
+            "series_order": report.order,
+            "numeric_order": sweep.order,
             "loglog_slope": sweep.slope,
             "leading_infidelity_coefficient": coeff,
             "infidelity_degree": report.infidelity_degree,
             "expected_order": args.expect_order,
             "match": ok,
         }
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK if ok else EXIT_MISMATCH
-    print(f"sequence:        {seq.name} (target {math.degrees(seq.target_theta):g} deg)")
-    print(f"error model:     {model_kind}")
-    print(f"series order:    {series_order if series_order is not None else f'> {args.degree}'}")
-    if sweep.beyond_resolution:
-        print("numeric order:   beyond numeric resolution (exact to rounding)")
-    elif sweep.slope is None:
-        print("numeric order:   n/a (too few clean sweep points)")
+        lines = [json.dumps(payload, indent=2)]
     else:
-        shown = numeric_order if numeric_order is not None else "ambiguous"
-        print(f"numeric order:   {shown} (log-log slope {sweep.slope:.4f})")
-    if coeff is not None:
-        print(f"leading infidelity: {coeff:.6g} * x^{report.infidelity_degree}")
-    print(f"expected order:  {args.expect_order} -> {'OK' if ok else 'MISMATCH'}")
+        lines = [
+            f"sequence:        {seq.name} (target {math.degrees(seq.target_theta):g} deg)",
+            f"error model:     {model_kind}",
+            f"series order:    {report.order if report.order is not None else f'> {args.degree}'}",
+        ]
+        if sweep.beyond_resolution:
+            lines.append("numeric order:   beyond numeric resolution (exact to rounding)")
+        elif sweep.slope is None:
+            lines.append("numeric order:   n/a (too few clean sweep points)")
+        else:
+            shown = sweep.order if sweep.order is not None else "ambiguous"
+            lines.append(f"numeric order:   {shown} (log-log slope {sweep.slope:.4f})")
+        if coeff is not None:
+            lines.append(f"leading infidelity: {coeff:.6g} * x^{report.infidelity_degree}")
+        lines.append(f"expected order:  {args.expect_order} -> {'OK' if ok else 'MISMATCH'}")
+    _write_text(None, "\n".join(lines) + "\n")
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
 def cmd_sweep(args) -> int:
-    try:
-        seq = _load_sequence(args.sequence, args.theta)
-    except (DocumentError, UnsolvableTarget) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSOLVABLE if isinstance(exc, UnsolvableTarget) else EXIT_USAGE
+    seq = _load_sequence(args.sequence, args.theta)
     model_kind = args.model or seq.model_kind
     try:
         if model_kind == SIMULTANEOUS:
@@ -282,8 +305,7 @@ def cmd_sweep(args) -> int:
             grid, ys = _verify.axis_sweep(seq, KIND_AXIS[model_kind], args.grid)
     except ValueError as exc:
         # e.g. a flipped (negative-angle) pulse under an off-resonance model
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CliError(str(exc)) from exc
     if model_kind == SIMULTANEOUS:
         lines = ["epsilon,f,infidelity"]
         for e, row in zip(grid, ys):
@@ -291,11 +313,7 @@ def cmd_sweep(args) -> int:
     else:
         lines = ["error_value,infidelity"]
         lines.extend(f"{x:.12g},{y:.12g}" for x, y in zip(grid, ys))
-    try:
-        _write_text(args.out, "\n".join(lines) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_UNWRITABLE
+    _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -304,67 +322,40 @@ def cmd_compare(args) -> int:
     for chunk in args.variants:
         names.extend(n for n in chunk.split(",") if n)
     if len(names) < 2:
-        print("error: need at least two variants to compare", file=sys.stderr)
-        return EXIT_USAGE
+        raise CliError("need at least two variants to compare")
     for n in names:
         if n not in CATALOG:
-            print(f"error: unknown sequence name {n!r}", file=sys.stderr)
-            return EXIT_USAGE
+            raise CliError(f"unknown sequence name {n!r}")
     lo, hi, npts = args.theta_range
     thetas = np.radians(np.linspace(lo, hi, npts))
     try:
         result = _verify.crossover_scan(names, thetas)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    header = "theta_deg," + ",".join(names)
-    print(header)
+        raise CliError(str(exc)) from exc
+    lines = ["theta_deg," + ",".join(names)]
     for i, t in enumerate(result.thetas):
-        row = [f"{math.degrees(t):.6g}"] + [f"{result.magnitudes[n][i]:.8g}" for n in names]
-        print(",".join(row))
+        lines.append(",".join([f"{math.degrees(t):.6g}"] + [f"{result.magnitudes[n][i]:.8g}" for n in names]))
     if result.crossover_theta is not None:
-        print(f"# crossover of {names[0]} vs {names[1]} at "
-              f"{math.degrees(result.crossover_theta):.3f} deg")
+        lines.append(f"# crossover of {names[0]} vs {names[1]} at "
+                     f"{math.degrees(result.crossover_theta):.3f} deg")
     else:
-        print(f"# no crossover of {names[0]} vs {names[1]} in range (flagged)")
+        lines.append(f"# no crossover of {names[0]} vs {names[1]} in range (flagged)")
+    _write_text(None, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def _parse_degree(spec: str) -> int:
-    try:
-        degree = int(spec)
-        if not 1 <= degree <= MAX_DEGREE:
-            raise ValueError
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"degree must be an integer in 1..{MAX_DEGREE}, got {spec!r}"
-        ) from None
-    return degree
+    return _option(spec, int, f"degree must be an integer in 1..{MAX_DEGREE}",
+                   lambda degree: 1 <= degree <= MAX_DEGREE)
 
 
 def _theta(spec: str) -> float:
-    try:
-        theta = float(spec)
-        if not math.isfinite(theta):
-            raise ValueError
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"theta must be a finite angle in degrees, got {spec!r}"
-        ) from None
-    return theta
+    return _option(spec, float, "theta must be a finite angle in degrees", math.isfinite)
 
 
 def _theta_range(spec: str) -> tuple[float, float, int]:
-    try:
-        lo, hi, n = spec.split(":")
-        lo, hi, n = float(lo), float(hi), int(n)
-        if n < 1 or not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"theta range must be min:max:points in degrees, with finite ends and points >= 1, got {spec!r}"
-        ) from None
-    return lo, hi, n
+    return _option(spec, _min_max_points,
+                   "theta range must be min:max:points in degrees, with finite ends and points >= 1")
 
 
 def main(argv=None) -> int:
@@ -405,7 +396,11 @@ def main(argv=None) -> int:
     p_cmp.set_defaults(func=cmd_compare)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -145,6 +146,14 @@ class TestVerify:
         bad.write_text("{}")
         assert run_main("verify", str(bad), "--expect-order", "1") == EXIT_USAGE
 
+    def test_not_utf8_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe\x00bad")
+        assert run_main("verify", str(bad), "--order", "1") == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {str(bad)!r} is not UTF-8 text\n"
+
     def test_missing_file(self, capsys):
         assert run_main("verify", "/no/such/file.json", "--expect-order", "1") == EXIT_USAGE
 
@@ -219,11 +228,20 @@ class TestSweep:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1 + 25
 
-    def test_unwritable_output(self, capsys):
-        code = run_main(
-            "sweep", "bb1", "--model", "ple", "--out", "/nonexistent-dir/x.csv"
-        )
-        assert code == EXIT_UNWRITABLE
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("synth", "bb1", "--out", "/nonexistent-dir/x.json"),
+            ("sweep", "bb1", "--model", "ple", "--out", "/nonexistent-dir/x.csv"),
+        ],
+        ids=["synth", "sweep"],
+    )
+    def test_unwritable_output(self, argv, capsys):
+        assert run_main(*argv) == EXIT_UNWRITABLE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write output: ")
+        assert captured.err.count("\n") == 1
 
     def test_write_csv_file(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -331,3 +349,25 @@ class TestEntryPoint:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["name"] == "bb1"
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_pipe(self, buffered):
+        # the read end is closed before the interpreter has started, so the
+        # report meets a closed pipe: exit 4 with one line, and no second
+        # failure from the flush at interpreter exit
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "compulse.cli", "compare", "--variants", "bb1", "sk2rot",
+             "--theta-range", "150:180:7"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == EXIT_UNWRITABLE
+        assert err.startswith(b"error: cannot write output: ")
+        assert err.count(b"\n") == 1

@@ -3,7 +3,7 @@
 Run it from any directory on two checkouts and compare the lines:
 
     python3 tools/digest.py            # every family
-    python3 tools/digest.py --no-cli   # skip the README CLI commands (fresh processes)
+    python3 tools/digest.py --no-cli   # skip the CLI families (fresh processes)
 
 It imports compulse from ``src/`` of the checkout it lives in and reads only
 the package's public names, ``compulse.su2`` and ``compulse.cli.MAX_DEGREE``.
@@ -39,13 +39,21 @@ equal digests mean equal bits.  The families:
   does not enter, at degrees 1, 3, 8 and ``cli.MAX_DEGREE`` (16) of the same
   catalog entries in their design model (``simultaneous``: sim, the
   bivariate case), and of ``simultaneous`` under ple and ore as well;
-- ``cli``: exit code, stdout and written files of the README commands.
+- ``cli``: exit code, stdout and written files of the README commands;
+- ``cli_refusals``: exit code, stdout and stderr of every refusal the CLI
+  documents: unknown names, refused angles, unusable documents, a model
+  without an axis, series overflow, a flipped pulse off resonance,
+  unwritable outputs, too few or uncorrected ``compare`` variants, and
+  argparse's refusals of malformed options.  It also runs the malformed
+  documents that still exit 1 with a traceback; their stderr is cut to the
+  traceback's last line, because the line numbers in it move with any edit.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -102,6 +110,28 @@ README_COMMANDS = (
     ("sweep", "bb1", "--model", "ple", "--grid", "1e-4:1e-1:25", "--out", "sweep.csv"),
     ("sweep", "simultaneous", "--grid", "1e-3:1e-1:15"),
     ("compare", "--variants", "bb1", "sk2rot", "--theta-range", "10:180:86"),
+)
+
+REFUSED_COMMANDS = (
+    ("synth", "nosuch"),
+    ("compare", "--variants", "bb1", "nosuch"),
+    *((*cmd, name, "--theta", theta) for cmd in (("synth",), ("verify", "--order", "3"), ("sweep",))
+      for name, theta in (("bb1", "0"), ("bb1", "900"), ("sk3", "90"))),
+    *(("verify", doc, "--order", "3") for doc in ("missing.json", "not-json.json", "list.json",
+                                                   "wrong-target.json", "metadata-list.json",
+                                                   "angle-text.json", "angle-nan.json")),
+    ("verify", "simultaneous", "--order", "3"),
+    ("verify", "simple", "--theta", "1e308", "--order", "1"),
+    ("sweep", "simple", "--theta", "-90", "--model", "ore"),
+    ("synth", "bb1", "--out", "no-such-dir/x.json"),
+    ("sweep", "bb1", "--model", "ple", "--out", "no-such-dir/x.csv"),
+    ("compare", "--variants", "bb1"),
+    ("compare", "--variants", "sk1", "bb1"),
+    *(("synth", "simple", "--theta", theta) for theta in ("nan", "inf", "x")),
+    *(("verify", "bb1", "--order", "3", "--degree", degree) for degree in ("0", "17", "2.5")),
+    *(("sweep", "bb1", f"--grid={grid}") for grid in ("1:2", "nan:1e-1:5", "0:1:3", "-1:1:3", "2:1:3", "1:2:0")),
+    *(("compare", "--variants", "bb1", "sk2rot", "--theta-range", spec)
+      for spec in ("10:180:-3", "10:180:0", "10:inf:5", "10:180")),
 )
 
 
@@ -288,13 +318,17 @@ def series_family() -> list[str]:
     return [d.line("series")]
 
 
+def _cli(argv, cwd: str) -> subprocess.CompletedProcess:
+    """``compulse ARGV...`` in a fresh process, run in ``cwd``."""
+    return subprocess.run([sys.executable, "-m", "compulse.cli", *argv], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True)
+
+
 def cli_family() -> list[str]:
     d = Digest()
-    env = dict(os.environ, PYTHONPATH=str(SRC))
     with tempfile.TemporaryDirectory() as tmp:
         for argv in README_COMMANDS:
-            run = subprocess.run([sys.executable, "-m", "compulse.cli", *argv], cwd=tmp, env=env,
-                                 capture_output=True)
+            run = _cli(argv, tmp)
             d.add(" ".join(argv))
             d.add(run.returncode)
             d.add(run.stdout)
@@ -304,13 +338,54 @@ def cli_family() -> list[str]:
     return [d.line("cli")]
 
 
+def _refused_documents() -> dict[str, str]:
+    """Documents ``verify`` refuses; the last three still exit 1 with a traceback."""
+    phi = math.degrees(math.acos(-0.25))
+    good = {"schema_version": 1, "name": "bb1", "target_theta_deg": 180.0, "error_model": "ple",
+            "convention": "chronological",
+            "pulses": [{"angle_deg": a, "phase_deg": p} for a, p in ((180.0, 0.0), (180.0, phi),
+                                                                      (360.0, 3 * phi), (180.0, phi))],
+            "metadata": {}}
+
+    def broken(**change) -> str:
+        doc = json.loads(json.dumps(good))
+        doc.update(change)
+        return json.dumps(doc, indent=2)
+
+    def angle(value) -> str:
+        pulses = [dict(p) for p in good["pulses"]]
+        pulses[1]["angle_deg"] = value
+        return broken(pulses=pulses)
+
+    return {"not-json.json": "{not json", "list.json": "[1, 2]", "wrong-target.json": broken(target_theta_deg=30.0),
+            "metadata-list.json": broken(metadata=[1, 2]), "angle-text.json": angle("one hundred eighty"),
+            "angle-nan.json": angle(float("nan"))}
+
+
+def cli_refusal_family() -> list[str]:
+    d = Digest()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in _refused_documents().items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        for argv in REFUSED_COMMANDS:
+            run = _cli(argv, tmp)
+            stderr = run.stderr
+            if stderr.startswith(b"Traceback"):
+                stderr = stderr.splitlines()[-1]
+            d.add(" ".join(argv))
+            d.add(run.returncode)
+            d.add(run.stdout)
+            d.add(stderr)
+    return [d.line("cli_refusals")]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--no-cli", action="store_true", help="skip the README CLI commands")
+    parser.add_argument("--no-cli", action="store_true", help="skip the CLI families")
     args = parser.parse_args()
     lines = grid_families() + crossover_family() + fit_family() + sequence_family() + series_family()
     if not args.no_cli:
-        lines += cli_family()
+        lines += cli_family() + cli_refusal_family()
     print("\n".join(lines))
 
 
