@@ -14,7 +14,10 @@ The residual W = V U^dag of a sequence is analytic in the error fractions.
 :func:`contour_sigma_norms` composes it at complex pulse-length fractions on
 a circle and reads its Taylor coefficients of degree 0..3 off one discrete
 Cauchy sum; both the phase solver in ``sequences`` and the crossover scan in
-``verify`` use that read-out, and neither touches the series engine.
+``verify`` use that read-out, and neither touches the series engine.  It
+composes W column by column, one matrix-vector step per pulse on entry
+arrays, while the real-axis route (:func:`compose_grid`,
+:func:`residual_grid`) multiplies stacks of 2x2 matrices with ``@``.
 
 The grid pulse loop behind :func:`residual_grid` splits each propagator into
 an angle part (the modulus, cosine and sine) and a phase part.  Composite
@@ -424,7 +427,9 @@ def residual_grid(pulses, kind: str, eps, f, u: np.ndarray) -> np.ndarray:
     The modulus, cosine and sine of the angle part are evaluated once per
     distinct pulse angle, not once per pulse, and the phase parts of a batch
     of pulses in one step (see :func:`_pulse_matrices`); the product is then
-    taken pulse by pulse, so W does not depend on the batching.
+    taken pulse by pulse, so W does not depend on the batching.  On the
+    contour, :func:`contour_sigma_norms` composes the same W by columns;
+    the two differ by rounding only.
     """
     return compose_grid(pulses, kind, eps, f) @ adjoint(u)
 
@@ -447,13 +452,26 @@ def contour_sigma_norms(pulses, u: np.ndarray, points: int = CONTOUR_POINTS) -> 
 
     W = V U^dag (see :func:`residual_grid`) is composed at ``points`` complex
     fractions on the circle |eps| = ``CONTOUR_RADIUS``; more nodes push the
-    aliasing error, of relative size r^N, further down.  The result has the
-    batch shape of the pulses and targets followed by 4.
+    aliasing error, of relative size r^N, further down.  W is composed as its
+    two columns: each starts as a column of U^dag and takes one
+    matrix-vector step per pulse, written out on the entry arrays of the
+    pulse matrices of :func:`_pulse_matrices`, since numpy's ``@`` on a stack
+    of 2x2 matrices makes one BLAS call per matrix.  The result has the
+    batch shape of the pulses and targets followed by 4.  An empty pulse
+    list raises ValueError.
     """
-    w = residual_grid(pulses, PULSE_LENGTH, _contour(points)[0], 0.0, u)
+    u_dag = adjoint(u)
+    w00, w10, w01, w11 = u_dag[..., 0, 0], u_dag[..., 1, 0], u_dag[..., 0, 1], u_dag[..., 1, 1]
+    composed = False
+    for m in _pulse_matrices(pulses, PULSE_LENGTH, _contour(points)[0], 0.0):
+        m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+        w00, w10 = m00 * w00 + m01 * w10, m10 * w00 + m11 * w10
+        w01, w11 = m00 * w01 + m01 * w11, m10 * w01 + m11 * w11
+        composed = True
+    if not composed:
+        raise ValueError("cannot compose an empty pulse sequence")
     # sigma parts of W without conj, so that they stay analytic in eps
-    w01, w10 = w[..., 0, 1], w[..., 1, 0]
-    sigma = np.stack([w01 + w10, 1j * (w01 - w10), w[..., 0, 0] - w[..., 1, 1]]) / 2.0
+    sigma = np.stack([w01 + w10, 1j * (w01 - w10), w00 - w11]) / 2.0
     # one (3 n, N) product: a stacked one takes another BLAS kernel and rounds differently
     coeffs = taylor_coefficients(sigma.reshape(-1, points)).reshape(sigma.shape[:-1] + (4,))
     return np.sqrt((np.abs(coeffs) ** 2).sum(axis=0))

@@ -347,10 +347,12 @@ def _rounding_floor(a: str, b: str, theta: float) -> float:
     r = ``CONTOUR_RADIUS``.  W is the identity up to terms of degree 3 in
     eps (a variant is refused otherwise), so max|W| is taken as 1; it is
     1.004 for bb1 and 1.06 for sk2rot at their crossover.  The stated factor
-    is the pulse count, one rounding per matrix product of the composition,
-    summed over both variants.  For bb1 against sk2rot that is 21, a floor
-    of 5.8e-13, where the difference's noise about a straight line is at
-    most 3.9e-14 over 401 angles within 2e-12 rad of the crossover.
+    is the pulse count, one rounding per matrix-vector step of the
+    composition (each pulse takes one step on each column of W, the first
+    on the columns of U^dag), summed over both variants.  For bb1 against
+    sk2rot that is 21, a floor of 5.8e-13, where the difference's noise
+    about a straight line is at most 4.1e-14 over 401 angles within
+    2e-12 rad of the crossover, 14 times below the floor.
     """
     pulses = len(build(a, theta).pulses) + len(build(b, theta).pulses)
     return pulses * float(np.finfo(float).eps) / CONTOUR_RADIUS**3

@@ -19,7 +19,15 @@ from compulse import (
 )
 from compulse import series, su2
 from compulse.sequences import bb1, build
-from compulse.su2 import CONTOUR_EPS, _axis_angle, _chain, pulse_matrix, residual_grid
+from compulse.su2 import (
+    CONTOUR_EPS,
+    _axis_angle,
+    _chain,
+    contour_sigma_norms,
+    pulse_matrix,
+    residual_grid,
+    taylor_coefficients,
+)
 from compulse.verify import _PulseColumn, infidelity_grid
 
 from conftest import ID2, SX, SY, SZ, maxdiff, pauli_vec, taylor_expm
@@ -561,3 +569,56 @@ class TestPlanMemo:
         for array in (plan.angles, plan.index, plan.trig):
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
+
+
+def _matrix_readout(pulses, u):
+    """Sigma norms of degree 0..3 read off the matrices W = V U^dag of
+    :func:`residual_grid`, and max|W|: the reference for the column chain."""
+    w = residual_grid(pulses, "ple", CONTOUR_EPS, 0.0, u)
+    w01, w10 = w[..., 0, 1], w[..., 1, 0]
+    sigma = np.stack([w01 + w10, 1j * (w01 - w10), w[..., 0, 0] - w[..., 1, 1]]) / 2.0
+    return np.sqrt((np.abs(taylor_coefficients(sigma)) ** 2).sum(axis=0)), np.abs(w).max()
+
+
+def _random_pulses(count, seed):
+    rng = np.random.default_rng(seed)
+    angles, phases = rng.uniform(0.0, 2.0 * math.pi, (2, count))
+    return tuple(Pulse(a, p) for a, p in zip(angles, phases)), su2.rotation(*rng.uniform(0.0, 2.0 * math.pi, 2))
+
+
+class TestContourColumns:
+    """The column chain of contour_sigma_norms agrees with the matrix read-out
+    within a few roundings of the Cauchy sum, eps_mach max|W| / r^3 each."""
+
+    BOUND = 1e-13
+
+    @pytest.mark.parametrize("name", ["bb1", "sk2", "sk2rot"])
+    def test_catalog_agrees_with_matrix_readout(self, name):
+        thetas = np.radians(np.linspace(10.0, 180.0, 18))
+        seqs = [build(name, theta) for theta in thetas]
+        for seq in seqs:
+            u = su2.rotation(seq.target.angle, seq.target.phase)
+            want, w_max = _matrix_readout(seq.pulses, u)
+            assert np.abs(contour_sigma_norms(seq.pulses, u) - want).max() <= self.BOUND * w_max
+        # the batched form: pulse columns against a stack of targets
+        table = np.array([[(p.angle, p.phase) for p in seq] for seq in seqs])
+        columns = [_PulseColumn(table[:, j, 0, None], table[:, j, 1, None]) for j in range(table.shape[1])]
+        u = np.stack([su2.rotation(seq.target.angle, seq.target.phase) for seq in seqs])[:, None]
+        want, w_max = _matrix_readout(columns, u)
+        got = contour_sigma_norms(columns, u)
+        assert got.shape == want.shape == (len(seqs), 4)
+        assert np.abs(got - want).max() <= self.BOUND * w_max
+
+    @pytest.mark.parametrize("count", range(1, 17))
+    def test_random_pulses_agree_with_matrix_readout(self, count):
+        pulses, u = _random_pulses(count, 20071108 + count)
+        want, w_max = _matrix_readout(pulses, u)
+        got = contour_sigma_norms(pulses, u)
+        # random lists carry every degree, 0 included
+        assert np.all(want > 1e-6)
+        assert np.abs(got - want).max() <= self.BOUND * w_max
+
+    @pytest.mark.parametrize("pulses", [[], ()], ids=["list", "tuple"])
+    def test_empty_pulse_list_refused(self, pulses):
+        with pytest.raises(ValueError, match="empty pulse sequence"):
+            contour_sigma_norms(pulses, su2.IDENTITY)

@@ -14,7 +14,7 @@ import compulse.su2
 import compulse.verify
 from compulse import Pulse, residual
 from compulse.sequences import CATALOG, build, corpse, ple_pure_error, shift_phases, solve_third_order
-from compulse.su2 import CONTOUR_EPS, pulse_matrix, residual_grid, rotation, taylor_coefficients
+from compulse.su2 import CONTOUR_EPS, contour_sigma_norms, pulse_matrix, rotation, taylor_coefficients
 from compulse.verify import (
     _decided_bracket,
     _degree3_magnitudes,
@@ -205,8 +205,9 @@ class TestCrossoverScan:
         assert not scan.flagged
         assert scan.crossover_theta == pytest.approx(2.9441399304550355, rel=0.0, abs=1e-12)
 
-    def test_readme_range_crossover_is_exact(self):
-        scan = crossover_scan(["bb1", "sk2rot"], np.radians(np.linspace(10.0, 180.0, 86)))
+    @pytest.mark.parametrize("ends", [(10.0, 180.0), (180.0, 10.0)], ids=["ascending", "descending"])
+    def test_readme_range_crossover_is_exact(self, ends):
+        scan = crossover_scan(["bb1", "sk2rot"], np.radians(np.linspace(*ends, 86)))
         assert scan.crossover_theta == 2.9441399304550355
 
     def test_magnitudes_own_their_data(self):
@@ -342,10 +343,7 @@ class TestDecidedBisection:
 def _one_angle_magnitude(name, theta):
     """Degree-3 sigma norm of one sequence composed from its own pulses."""
     seq = build(name, theta)
-    w = residual_grid(seq.pulses, "ple", CONTOUR_EPS, 0.0, rotation(seq.target.angle, seq.target.phase))
-    w01, w10 = w[:, 0, 1], w[:, 1, 0]
-    sigma = np.stack([w01 + w10, 1j * (w01 - w10), w[:, 0, 0] - w[:, 1, 1]]) / 2.0
-    return np.sqrt((np.abs(taylor_coefficients(sigma)) ** 2).sum(axis=0))[3]
+    return contour_sigma_norms(seq.pulses, rotation(seq.target.angle, seq.target.phase))[3]
 
 
 class TestBatchedMagnitudes:

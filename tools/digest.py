@@ -27,6 +27,9 @@ equal digests mean equal bits.  The families:
   from 140-150 to 180 degrees (the benchmark's angle scan) and 20 of 9
   points from 158-162 to 174-178 degrees (its ``compare``), half of each
   reversed;
+- ``crossover_angles``: the crossover angle and flag (or the refusal) of each
+  of those scans, without the magnitudes, so that it stays put when a change
+  moves the magnitudes by rounding but no crossover;
 - ``fits``: ``estimate_order`` on both axes, ``fit_leading_coefficient`` at
   each found order and ``fidelity_surface``, over the catalog;
 - ``sequences``: the ``repr`` (name, target, pulses, model kind, metadata) of
@@ -211,36 +214,39 @@ def repeat_family() -> str:
     return d.line("infidelity_repeats")
 
 
-def _scan(d: Digest, names, thetas) -> float | None:
+def _scan(d: Digest, angles: Digest, names, thetas) -> float | None:
+    """Add one scan to ``d`` and its crossover alone to ``angles``."""
     try:
         result = crossover_scan(names, thetas)
     except ValueError as exc:
-        d.add(f"ValueError: {exc}")
+        for digest in (d, angles):
+            digest.add(f"ValueError: {exc}")
         return None
     d.add(result.thetas)
     for name in names:
         d.add(result.magnitudes[name])
-    d.add(result.crossover_theta)
-    d.add(result.flagged)
+    for digest in (d, angles):
+        digest.add(result.crossover_theta)
+        digest.add(result.flagged)
     return result.crossover_theta
 
 
 def crossover_family() -> list[str]:
-    d = Digest()
-    readme = _scan(d, ("bb1", "sk2rot"), np.radians(np.linspace(10.0, 180.0, 86)))
+    d, angles = Digest(), Digest()
+    readme = _scan(d, angles, ("bb1", "sk2rot"), np.radians(np.linspace(10.0, 180.0, 86)))
     rng = np.random.default_rng(20071108)
     pairs = (("bb1", "sk2rot"), ("sk2", "sk2rot"), ("sk2", "bb1"))
     for i in range(45):
         lo = rng.uniform(10.0, 170.0)
         hi = rng.uniform(lo + 1.0, 180.0)
-        _scan(d, pairs[i % 3], np.radians(np.linspace(lo, hi, int(rng.integers(2, 31)))))
+        _scan(d, angles, pairs[i % 3], np.radians(np.linspace(lo, hi, int(rng.integers(2, 31)))))
     rng = np.random.default_rng(20071109)
     for i in range(20):
         scan = np.radians(np.linspace(rng.uniform(140.0, 150.0), 180.0, 24))
         compare = np.radians(np.linspace(rng.uniform(158.0, 162.0), rng.uniform(174.0, 178.0), 9))
         for thetas in (scan, compare):
-            _scan(d, ("bb1", "sk2rot"), thetas[::-1] if i % 2 else thetas)
-    return [d.line("crossover_scan"), f"{'readme crossover':22s} {readme!r}"]
+            _scan(d, angles, ("bb1", "sk2rot"), thetas[::-1] if i % 2 else thetas)
+    return [d.line("crossover_scan"), angles.line("crossover_angles"), f"{'readme crossover':22s} {readme!r}"]
 
 
 def fit_family() -> list[str]:
