@@ -1,107 +1,49 @@
-"""Composite pulse synthesis, series expansion and error-order certification."""
+"""Composite pulse synthesis, series expansion and error-order certification.
 
-from .su2 import (
-    IDENTITY,
-    MODEL_KINDS,
-    OFF_RESONANCE,
-    PULSE_LENGTH,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    SIMULTANEOUS,
-    ErrorModel,
-    PauliDecomposition,
-    Pulse,
-    adjoint,
-    compose,
-    fidelity,
-    pauli_decompose,
-    propagator,
-    rotation,
-)
-from .series import (
-    DEFAULT_DEGREE,
-    ErrorTermReport,
-    MatrixSeries,
-    ScalarSeries,
-    fidelity_series,
-    leading_error,
-    propagator_series,
-    residual,
-    sequence_series,
-)
-from .sequences import (
-    CATALOG,
-    PulseSequence,
-    SolverFailure,
-    bb1,
-    build,
-    corpse,
-    or_pure_error,
-    ple_pure_error,
-    shift_phases,
-    short_corpse,
-    solve_third_order,
-)
-from .verify import (
-    CrossoverResult,
-    SurfaceFit,
-    SweepResult,
-    crossover_scan,
-    estimate_order,
-    fidelity_surface,
-    fit_leading_coefficient,
-    geometric_grid,
-    inverse_quality,
-)
+The public names below live in four modules and are looked up in them on
+each access (PEP 562), never copied here, so a patched module attribute is
+what ``compulse.<name>`` returns.  ``import compulse`` loads none of the
+modules, and importing ``compulse.verify``, ``compulse.sequences`` or
+``compulse.su2`` loads no series code: the numeric route stays independent
+of the series engine in the running process, not only in the source.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "IDENTITY",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "MODEL_KINDS",
-    "PULSE_LENGTH",
-    "OFF_RESONANCE",
-    "SIMULTANEOUS",
-    "Pulse",
-    "ErrorModel",
-    "PauliDecomposition",
-    "rotation",
-    "propagator",
-    "compose",
-    "adjoint",
-    "fidelity",
-    "pauli_decompose",
-    "DEFAULT_DEGREE",
-    "ScalarSeries",
-    "MatrixSeries",
-    "ErrorTermReport",
-    "propagator_series",
-    "sequence_series",
-    "residual",
-    "leading_error",
-    "fidelity_series",
-    "PulseSequence",
-    "SolverFailure",
-    "CATALOG",
-    "bb1",
-    "solve_third_order",
-    "corpse",
-    "short_corpse",
-    "ple_pure_error",
-    "or_pure_error",
-    "shift_phases",
-    "build",
-    "SweepResult",
-    "CrossoverResult",
-    "SurfaceFit",
-    "estimate_order",
-    "fit_leading_coefficient",
-    "crossover_scan",
-    "inverse_quality",
-    "fidelity_surface",
-    "geometric_grid",
-]
+#: module -> the public names it provides, in ``__all__`` order
+_NAMES = {
+    "su2": (
+        "IDENTITY", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "MODEL_KINDS", "PULSE_LENGTH", "OFF_RESONANCE",
+        "SIMULTANEOUS", "Pulse", "ErrorModel", "PauliDecomposition", "rotation", "propagator", "compose",
+        "adjoint", "fidelity", "pauli_decompose",
+    ),
+    "series": (
+        "DEFAULT_DEGREE", "ScalarSeries", "MatrixSeries", "ErrorTermReport", "propagator_series",
+        "sequence_series", "residual", "leading_error", "fidelity_series",
+    ),
+    "sequences": (
+        "PulseSequence", "SolverFailure", "CATALOG", "bb1", "solve_third_order", "corpse", "short_corpse",
+        "ple_pure_error", "or_pure_error", "shift_phases", "build",
+    ),
+    "verify": (
+        "SweepResult", "CrossoverResult", "SurfaceFit", "estimate_order", "fit_leading_coefficient",
+        "crossover_scan", "inverse_quality", "fidelity_surface", "geometric_grid",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
+
+__all__ = [name for names in _NAMES.values() for name in names]
+
+
+def __getattr__(name):
+    if name in _NAMES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_NAMES))

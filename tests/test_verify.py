@@ -7,6 +7,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import compulse.sequences
 import compulse.series
@@ -523,6 +525,49 @@ class TestContour:
             assert crossover_scan(["bb1", "sk2rot"], np.radians([150.0, 165.0, 180.0])).crossover_theta is not None
         finally:
             solve_third_order.cache_clear()
+
+
+#: pulse angles in (0, 4pi], with the exact pi, 2pi and 4pi pulses drawn on purpose
+REFEREE_ANGLES = st.one_of(st.sampled_from([PI, 2 * PI, 4 * PI]), st.floats(0.0, 4 * PI, exclude_min=True))
+REFEREE_PULSES = st.builds(Pulse, REFEREE_ANGLES, st.floats(0.0, 2 * PI, exclude_max=True))
+REFEREE_GRID = np.geomspace(1e-4, 1e-1, 5)
+
+
+def _mp_pulse(mp, pulse, kind, eps, f):
+    """exp(-i angle m/2 n.sigma) in mpmath, n tilted toward z by the error model."""
+    w = mp.mpf(1) if kind == "ore" else 1 + mp.mpf(eps)
+    fz = mp.mpf(0) if kind == "ple" else mp.mpf(f)
+    m = mp.sqrt(w * w + fz * fz)
+    c, s = mp.cos(pulse.angle * m / 2), mp.sin(pulse.angle * m / 2) / m
+    sx, sy, sz = s * w * mp.cos(pulse.phase), s * w * mp.sin(pulse.phase), s * fz
+    return mp.matrix([[mp.mpc(c, -sz), mp.mpc(-sy, -sx)], [mp.mpc(sy, -sx), mp.mpc(c, sz)]])
+
+
+def _mp_infidelity(mp, pulses, target, kind, eps, f):
+    """1 - |Tr(V U^dag)|/2, the pulses composed in mpmath, first pulse rightmost."""
+    v = mp.eye(2)
+    for p in pulses:
+        v = _mp_pulse(mp, p, kind, eps, f) * v
+    w = v * _mp_pulse(mp, target, "ple", 0.0, 0.0).transpose_conj()
+    return 1 - abs(w[0, 0] + w[1, 1]) / 2
+
+
+class TestMpmathReferee:
+    """infidelity_grid against a 40-digit composition of random pulse lists."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.lists(REFEREE_PULSES, min_size=1, max_size=16), REFEREE_PULSES, st.booleans())
+    def test_infidelity_grid_within_rounding_of_mpmath(self, mp, pulses, target, target_first):
+        target = pulses[0] if target_first else target
+        bound = 8 * len(pulses) * np.finfo(float).eps
+        for kind in ("ple", "ore", "sim"):
+            eps = 0.0 if kind == "ore" else REFEREE_GRID
+            f = 0.0 if kind == "ple" else REFEREE_GRID
+            got = infidelity_grid(pulses, kind, eps, f, target)
+            with mp.workdps(40):
+                for x, value in zip(REFEREE_GRID, got):
+                    ref = _mp_infidelity(mp, pulses, target, kind, x, x)
+                    assert abs(math.sqrt(value) - float(mp.sqrt(ref))) <= bound, (kind, x)
 
 
 class TestInverseQuality:
