@@ -206,15 +206,15 @@ def estimate_order(seq, axis: str, grid=None) -> SweepResult:
     return next((r for r in trimmed if not r.ambiguous), full)
 
 
-def fit_leading_coefficient(seq, axis: str, degree: int) -> float:
-    """Fit c in infidelity = c x^degree + ... from the small-x end of a sweep.
+def _leading_coefficient(grid: np.ndarray, infid: np.ndarray, degree: int) -> float:
+    """c in infidelity = c x^degree + ..., read off the small-x end of a sweep
+    (``grid`` ascending, ``infid`` its infidelities).
 
     The reduced values y/x^degree are extrapolated to x = 0 with a least
     squares fit in (1, x, x^2), which absorbs one odd and one even
     correction term.  Points are used only where the infidelity is large
     enough to be clean and small enough that degree+3 terms stay negligible.
     """
-    grid, infid = axis_sweep(seq, axis)
     floor = FIT_WINDOW[0]
     keep = (infid >= floor) & (infid <= 1e-7)
     if keep.sum() < 3:
@@ -223,6 +223,17 @@ def fit_leading_coefficient(seq, axis: str, degree: int) -> float:
         raise ValueError("noise floor reached: too few clean sweep points for a coefficient fit")
     x = grid[keep]
     return _extrapolate(x, infid[keep] / x**degree)
+
+
+def fit_leading_coefficient(seq, axis: str, degree: int) -> float:
+    """Fit c in infidelity = c x^degree + ... from the small-x end of a sweep
+    along ``axis`` on the default grid.
+
+    ``degree`` must be the axis's 2 * order (see :func:`estimate_order`):
+    with any other value the reduced values y/x^degree do not tend to a
+    constant, and the extrapolation returns a meaningless number.
+    """
+    return _leading_coefficient(*axis_sweep(seq, axis), degree)
 
 
 @dataclass(frozen=True, slots=True)
@@ -418,7 +429,15 @@ def inverse_quality(seq, seq_inv, model_kind: str) -> SweepResult:
 
 @dataclass(frozen=True, slots=True)
 class SurfaceFit:
-    """Two-dimensional infidelity table with the fitted leading coefficients."""
+    """Two-dimensional infidelity table with the fitted leading coefficients.
+
+    ``eps_degree`` and ``f_degree`` are 2 * the order that
+    :func:`estimate_order` reads off the sweep along each axis, and
+    ``coeff_eps`` and ``coeff_f`` are the coefficients of eps^eps_degree and
+    f^f_degree fitted on that same sweep.  ``coeff_cross`` is the
+    coefficient of eps^2 f^2, fitted where the averaged cross part is of
+    degree 4.
+    """
 
     eps_grid: np.ndarray
     f_grid: np.ndarray
@@ -430,23 +449,36 @@ class SurfaceFit:
     coeff_cross: float  # coefficient of eps^2 f^2
 
 
-def fidelity_surface(
-    seq,
-    eps_grid=None,
-    f_grid=None,
-    eps_degree: int = 6,
-    f_degree: int = 4,
-) -> SurfaceFit:
+def _axis_coefficient(seq, axis: str) -> tuple[float, int]:
+    """Leading infidelity coefficient and degree along ``axis``, both read
+    off one :func:`estimate_order` sweep on the default grid; an axis with
+    no clean order is refused."""
+    sweep = estimate_order(seq, axis)
+    if sweep.order is None:
+        reason = "beyond resolution" if sweep.beyond_resolution else "ambiguous"
+        raise ValueError(f"no clean error order along {axis} ({reason}): no leading coefficient to fit")
+    degree = 2 * sweep.order
+    return _leading_coefficient(sweep.values, sweep.infidelities, degree), degree
+
+
+def fidelity_surface(seq, eps_grid=None, f_grid=None) -> SurfaceFit:
     """Infidelity over a 2-D error grid plus leading-coefficient fits.
 
-    ``eps_grid`` and ``f_grid`` set only the returned table.  The two axis
-    coefficients come from :func:`fit_leading_coefficient`, which sweeps each
-    axis on the default 25-point grid (``GRID_MIN`` to ``GRID_MAX``)
-    whatever the table's grids are.  The eps^2 f^2 cross coefficient is
-    fitted on a fixed diagonal after subtracting both axis contributions,
-    with eps^2 f^4 and eps^4 f^2 nuisance terms absorbed by least squares.
-    ``eps_grid`` and ``f_grid`` must be 1-D, non-empty and finite; unlike a
-    1-D sweep they may hold signed fractions.
+    ``eps_grid`` and ``f_grid`` set only the returned table; they must be
+    1-D, non-empty and finite, and unlike a 1-D sweep they may hold signed
+    fractions.  Each axis is swept once by :func:`estimate_order` on the
+    default 25-point grid (``GRID_MIN`` to ``GRID_MAX``), whatever the
+    table's grids are; the fit degree is 2 * the order that sweep reads, and
+    the coefficient is extrapolated from the same sweep's small-x end.  An
+    axis with no clean order raises ValueError.
+
+    The eps^2 f^2 cross coefficient is fitted on a fixed diagonal eps = f = x
+    after subtracting both axis contributions and averaging over +eps and
+    -eps, which removes every odd-in-eps term.  The fit assumes that what is
+    left starts at x^4, so no eps^2 f term survives the averaging; the
+    log-log slope of the averaged cross part must round to 4, or the cross
+    term is refused with ValueError.  Degree-5 and degree-6 nuisance terms,
+    such as eps^2 f^3 and eps^4 f^2, are absorbed by the least squares basis.
     """
     target = _target(seq)
     eps_grid = geometric_grid(3e-3, 3e-2, 7) if eps_grid is None else _checked_grid(eps_grid, "eps grid")
@@ -454,8 +486,8 @@ def fidelity_surface(
 
     surface = infidelity_grid(seq, SIMULTANEOUS, eps_grid[:, None], f_grid[None, :], target)
 
-    coeff_eps = fit_leading_coefficient(seq, "eps", eps_degree)
-    coeff_f = fit_leading_coefficient(seq, "f", f_degree)
+    coeff_eps, eps_degree = _axis_coefficient(seq, "eps")
+    coeff_f, f_degree = _axis_coefficient(seq, "f")
 
     # Averaging the diagonal cross term over +eps and -eps removes the
     # odd-in-eps piece (an eps f^3 term shares total degree 4 with eps^2 f^2),
@@ -469,16 +501,11 @@ def fidelity_surface(
     keep = np.abs(cross) > 1e-15
     if keep.sum() < 3:
         raise ValueError("noise floor reached: cross term not resolvable on this grid")
-    xs = xs[keep]
-    coeff_cross = _extrapolate(xs, cross[keep] / xs**4)
+    xs, cross = xs[keep], cross[keep]
+    slope = np.polyfit(np.log(xs), np.log(np.abs(cross)), 1)[0]
+    if round(slope) != 4:
+        raise ValueError(f"the averaged cross term has log-log slope {slope:.3f}, not 4: "
+                         "an eps^2 f^2 coefficient cannot be fitted")
+    coeff_cross = _extrapolate(xs, cross / xs**4)
 
-    return SurfaceFit(
-        eps_grid,
-        f_grid,
-        surface,
-        float(coeff_eps),
-        eps_degree,
-        float(coeff_f),
-        f_degree,
-        coeff_cross,
-    )
+    return SurfaceFit(eps_grid, f_grid, surface, coeff_eps, eps_degree, coeff_f, f_degree, coeff_cross)

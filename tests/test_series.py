@@ -27,6 +27,9 @@ from conftest import maxdiff
 
 PI = math.pi
 
+#: pulse angles in (0, 4pi], with the exact pi, 2pi and 4pi pulses drawn on purpose
+ANGLES = st.one_of(st.sampled_from([PI, 2 * PI, 4 * PI]), st.floats(0.0, 4 * PI, exclude_min=True))
+
 
 def eps_var(n=8):
     return ScalarSeries.variable("eps", n)
@@ -456,3 +459,31 @@ class TestOracleConsistency:
         total = sum(p.angle for p in seq)
         bound = 10.0 * (1.0 + total / 2.0) ** 5 / 120.0 * x**5 + 4 * np.finfo(float).eps
         assert maxdiff(ms.evaluate(x, x), exact) < bound
+
+    @settings(max_examples=32, derandomize=True, deadline=None)
+    @given(st.lists(st.builds(Pulse, ANGLES, st.floats(0.0, 2 * PI, exclude_max=True)), min_size=1, max_size=16))
+    def test_series_within_derived_remainder_of_compose(self, pulses):
+        # Each pulse is exp(-i (theta/2) (G0 + x G1)) along the error line, with
+        # ||G1|| = 1 under ple (eps = x) and ore (f = x) and sqrt(2) under sim
+        # (eps = f = x).  Its Dyson expansion about x = 0 bounds the degree-k
+        # coefficient of the sequence by s^k / k!, s = sum of (theta/2) ||G1||,
+        # so the terms dropped after degree d sum to at most
+        # e^{sx} (sx)^{d+1} / (d+1)!.  Rounding: compose rounds each pulse's
+        # angle theta m/2 with an absolute error of a few units of roundoff times
+        # theta, and each pulse's trigonometry and 2x2 product adds a few more;
+        # the series' degree-0 coefficient rounds as compose does and its higher
+        # coefficients carry the e^{sx} weight, so (n + Theta) eps_mach e^{sx}
+        # bounds both sides, Theta the total angle.
+        total = sum(p.angle for p in pulses)
+        for kind, norm in ((PULSE_LENGTH, 1.0), (OFF_RESONANCE, 1.0), (SIMULTANEOUS, math.sqrt(2.0))):
+            s = norm * total / 2.0
+            for degree in (3, 8):
+                ms = sequence_series(pulses, kind, degree)
+                for x in (1e-3, 1e-2):
+                    eps = 0.0 if kind == OFF_RESONANCE else x
+                    f = 0.0 if kind == PULSE_LENGTH else x
+                    exact = compose(pulses, ErrorModel(kind, epsilon=eps, f=f))
+                    remainder = (s * x) ** (degree + 1) / math.factorial(degree + 1)
+                    rounding = (len(pulses) + total) * np.finfo(float).eps
+                    bound = math.exp(s * x) * (remainder + rounding)
+                    assert maxdiff(ms.evaluate(eps, f), exact) <= bound, (kind, degree, x)

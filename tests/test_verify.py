@@ -1,6 +1,7 @@
 """Numeric cross-checks: sweeps, slope fits, crossover scan, surfaces."""
 
 import ast
+import inspect
 import math
 import sys
 import threading
@@ -14,7 +15,7 @@ import compulse.sequences
 import compulse.series
 import compulse.su2
 import compulse.verify
-from compulse import Pulse, residual
+from compulse import Pulse, fidelity_series, leading_error, residual
 from compulse.sequences import CATALOG, build, corpse, ple_pure_error, shift_phases, solve_third_order
 from compulse.su2 import CONTOUR_EPS, contour_sigma_norms, pulse_matrix, rotation, taylor_coefficients
 from compulse.verify import (
@@ -638,6 +639,39 @@ class TestFidelitySurface:
         sf = fidelity_surface(build("simultaneous", PI), eps, f)
         assert sf.eps_grid.tobytes() == eps.tobytes() and sf.f_grid.tobytes() == f.tobytes()
         assert sf.infidelity.shape == (3, 2) and np.isfinite(sf.infidelity).all()
+
+    @pytest.mark.parametrize("name", [n for n in CATALOG if n != "or-second-corpse"])
+    def test_catalog_surface_matches_series(self, name):
+        # the axis degrees are 2 * the series order and the coefficients are the
+        # series' leading infidelity terms; fixed degrees 6 and 4 missed on 12 entries
+        seq = build(name, PI)
+        sf = fidelity_surface(seq)
+        fs = fidelity_series(residual(seq.pulses, seq.target, "sim", 8))
+        for axis, degree, coeff in (("eps", sf.eps_degree, sf.coeff_eps), ("f", sf.f_degree, sf.coeff_f)):
+            n = leading_error(residual(seq.pulses, seq.target, "ple" if axis == "eps" else "ore", 8)).order
+            assert degree == 2 * n, axis
+            exponents = (degree, 0) if axis == "eps" else (0, degree)
+            assert coeff == pytest.approx(-fs.coeff(*exponents).real, rel=0.01), axis
+        assert sf.coeff_cross == pytest.approx(-fs.coeff(2, 2).real, rel=0.01)
+
+    def test_cross_term_of_degree_three_refused(self):
+        # or-second-corpse keeps an eps^2 f term through the +-eps average, so the
+        # x^4 fit of its cross part would read -5833 where the series' eps^2 f^2 is 189.8
+        seq = build("or-second-corpse", PI)
+        assert fidelity_series(residual(seq.pulses, seq.target, "sim", 4)).coeff(2, 1).real != 0.0
+        with pytest.raises(ValueError, match="log-log slope 2.84"):
+            fidelity_surface(seq)
+
+    def test_axis_without_order_refused(self):
+        # sk2 at 720 degrees is an exact identity: no order along eps, so no coefficient
+        seq = build("sk2", 4 * PI)
+        assert estimate_order(seq, "eps").beyond_resolution
+        with pytest.raises(ValueError, match="no clean error order along eps"):
+            fidelity_surface(seq)
+
+    def test_no_degree_parameters(self):
+        params = list(inspect.signature(fidelity_surface).parameters)
+        assert params == ["seq", "eps_grid", "f_grid"]
 
     def test_grid_matches_pointwise(self):
         seq = build("simultaneous", PI)

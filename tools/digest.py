@@ -31,7 +31,8 @@ equal digests mean equal bits.  The families:
   of those scans, without the magnitudes, so that it stays put when a change
   moves the magnitudes by rounding but no crossover;
 - ``fits``: ``estimate_order`` on both axes, ``fit_leading_coefficient`` at
-  each found order and ``fidelity_surface``, over the catalog;
+  each found order and ``fidelity_surface`` with its derived degrees (or its
+  refusal), over the catalog;
 - ``sequences``: the ``repr`` (name, target, pulses, model kind, metadata) of
   every catalog entry at ``THETAS`` and 720 degrees, of every
   ``ple_pure_error`` and ``or_pure_error`` kind at five phases, and the
@@ -269,7 +270,8 @@ def fit_family() -> list[str]:
             except ValueError as exc:
                 d.add(f"ValueError: {exc}")
                 continue
-            for value in (s.eps_grid, s.f_grid, s.infidelity, s.coeff_eps, s.coeff_f, s.coeff_cross):
+            for value in (s.eps_grid, s.f_grid, s.infidelity, s.coeff_eps, s.eps_degree, s.coeff_f, s.f_degree,
+                          s.coeff_cross):
                 d.add(value)
     return [d.line("fits")]
 
