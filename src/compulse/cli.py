@@ -304,7 +304,7 @@ def cmd_sweep(args) -> int:
         else:
             grid, ys = _verify.axis_sweep(seq, KIND_AXIS[model_kind], args.grid)
     except ValueError as exc:
-        # e.g. a flipped (negative-angle) pulse under an off-resonance model
+        # e.g. a negative-angle pulse under an off-resonance model
         raise CliError(str(exc)) from exc
     if model_kind == SIMULTANEOUS:
         lines = ["epsilon,f,infidelity"]

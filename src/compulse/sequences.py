@@ -70,7 +70,7 @@ class PulseSequence:
 
     @property
     def total_angle(self) -> float:
-        return sum(p.angle for p in self.pulses)
+        return sum(abs(p.angle) for p in self.pulses)
 
 
 class SolverFailure(RuntimeError):

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .su2 import OFF_RESONANCE, PULSE_LENGTH, Pulse, adjoint, flipped_pulse_error, kind_of, rotation
+from .su2 import OFF_RESONANCE, PULSE_LENGTH, Pulse, adjoint, kind_of, negative_angle_error, rotation
 
 DEFAULT_DEGREE = 8
 
@@ -261,8 +261,8 @@ def propagator_series(pulse: Pulse, model, degree: int = DEFAULT_DEGREE) -> Matr
     "ore", "sim".
     """
     kind = kind_of(model)
-    if kind != PULSE_LENGTH and pulse.flipped:
-        raise flipped_pulse_error()
+    if kind != PULSE_LENGTH and pulse.angle < 0.0:
+        raise negative_angle_error()
     coeffs = _m2_taylor(pulse.angle / 2.0, degree)
     if not np.isfinite(coeffs).all():
         raise ValueError(f"pulse angle {pulse.angle:g} is too large for a series expansion")

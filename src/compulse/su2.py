@@ -4,11 +4,14 @@ Rotations about axes in the xy plane are the elementary operations.  Two error
 channels are modelled: a fractional miscalibration of every rotation angle
 (pulse length error, fraction ``epsilon``) and a constant detuning of the
 drive relative to its strength (off-resonance error, fraction ``f``), which
-tilts every rotation axis toward z.  Both may act at once.  This module
-decides the error-model vocabulary for every route: the kind check
-(:func:`kind_of`), the refusal of negative-angle pulses off resonance
-(:func:`flipped_pulse_error`) and the sweep axis of each single-channel kind
-(``KIND_AXIS``).
+tilts every rotation axis toward z.  Both may act at once.  A pulse keeps
+its angle as given, sign included: the ideal and pulse-length propagators
+take a signed angle, while the off-resonance ones are defined for
+nonnegative angles only, so the ``ore`` and ``sim`` models refuse a pulse
+with a negative angle.  This module decides the error-model vocabulary for
+every route: the kind check (:func:`kind_of`), that refusal
+(:func:`negative_angle_error`) and the sweep axis of each single-channel
+kind (``KIND_AXIS``).
 
 The residual W = V U^dag of a sequence is analytic in the error fractions.
 :func:`contour_sigma_norms` composes it at complex pulse-length fractions on
@@ -28,8 +31,8 @@ a leading pulse axis; a batch covers about ``_BATCH_POINTS`` grid points, so a
 scalar point builds its whole sequence at once and a large grid goes pulse by
 pulse.  Each matrix is still the one a lone pulse gives, bit for bit.  What
 the loop reads of the pulse list alone (the distinct angles, each pulse's
-place among them, the cosine and sine of every phase, whether any pulse is
-flipped) is its plan, and the plan of the most recent tuple of
+place among them, the cosine and sine of every phase, whether any angle is
+negative) is its plan, and the plan of the most recent tuple of
 :class:`Pulse` is kept, keyed by the tuple's identity, so a sweep that
 passes one tuple point by point plans it once.  Lists are planned on every
 call, since they may change between calls.
@@ -86,31 +89,23 @@ _BATCH_POINTS = 1024
 class Pulse:
     """One elementary rotation: angle and axis phase, both in radians.
 
-    The stored angle is always nonnegative.  A negative angle request is
-    rewritten to ``(|angle|, phase + pi)``, which is exact for ideal rotations
-    and for pulse length errors; the rewrite is recorded in ``flipped`` so
-    that off-resonance propagators, for which it is not valid, can refuse the
-    pulse.  Phases are reduced to [0, 2pi).
+    The angle is kept as given, sign included; the phase is reduced to
+    [0, 2pi).
     """
 
     angle: float
     phase: float
-    flipped: bool = False
 
     def __post_init__(self) -> None:
         angle = float(self.angle)
         phase = float(self.phase)
         if not (math.isfinite(angle) and math.isfinite(phase)):
             raise ValueError(f"pulse parameters must be finite, got ({angle}, {phase})")
-        flipped = self.flipped
-        if angle < 0.0:
-            angle, phase, flipped = -angle, phase + math.pi, True
         phase %= TWO_PI
         if phase == TWO_PI:  # float % rounds a tiny negative phase up to the modulus
             phase = 0.0
         object.__setattr__(self, "angle", angle)
         object.__setattr__(self, "phase", phase)
-        object.__setattr__(self, "flipped", flipped)
 
 
 @dataclass(frozen=True)
@@ -155,7 +150,7 @@ def kind_of(model) -> str:
     return kind
 
 
-def flipped_pulse_error() -> ValueError:
+def negative_angle_error() -> ValueError:
     """The refusal of a negative-angle pulse under an off-resonance model."""
     return ValueError(
         "off-resonance propagators are defined for nonnegative angles only; "
@@ -210,27 +205,15 @@ def _phase_part(c, s, sz, cos_phi, sin_phi, w) -> np.ndarray:
     given cos(phi) and sin(phi)."""
     sx = s * (w * cos_phi)
     sy = s * (w * sin_phi)
-    # sx carries the broadcast shape of every argument
-    shape = np.shape(sx)
-    if c.dtype.kind == "c":
-        isx, isz = 1j * sx, 1j * sz
-        out = np.empty(shape + (2, 2), dtype=complex)
-        out[..., 0, 0] = c - isz
-        out[..., 0, 1] = -sy - isx
-        out[..., 1, 0] = sy - isx
-        out[..., 1, 1] = c + isz
-        return out
-    # real and imaginary parts of [[c - i sz, -sy - i sx], [sy - i sx, c + i sz]]
-    out = np.empty(shape + (2, 2, 2))
-    out[..., 0, 0, 0] = c
-    out[..., 0, 0, 1] = -sz
-    out[..., 0, 1, 0] = -sy
-    out[..., 0, 1, 1] = -sx
-    out[..., 1, 0, 0] = sy
-    out[..., 1, 0, 1] = -sx
-    out[..., 1, 1, 0] = c
-    out[..., 1, 1, 1] = sz
-    return out.view(complex)[..., 0]
+    isx, isz = 1j * sx, 1j * sz
+    # sx carries the broadcast shape of every argument; each entry is written
+    # in place, without a temporary
+    out = np.empty(np.shape(sx) + (2, 2), dtype=complex)
+    np.subtract(c, isz, out=out[..., 0, 0])
+    np.subtract(-sy, isx, out=out[..., 0, 1])
+    np.subtract(sy, isx, out=out[..., 1, 0])
+    np.add(c, isz, out=out[..., 1, 1])
+    return out
 
 
 def _axis_angle(theta, phi, w, f) -> np.ndarray:
@@ -267,7 +250,7 @@ class _Plan(NamedTuple):
     angles: np.ndarray  # distinct pulse angles, in order of first use, along a leading axis
     index: np.ndarray  # position in ``angles`` of every pulse's angle
     trig: np.ndarray  # cos and sin of every pulse's phase, (2, pulses) + the phase shape
-    flipped: bool  # whether any pulse was built from a negative-angle request
+    negative: bool  # whether any pulse angle is negative
 
 
 #: (pulse tuple, its plan) for the most recent tuple of Pulse; see _plan
@@ -289,7 +272,7 @@ def _plan(pulses) -> _Plan:
     entry = _last_plan
     if entry is not None and entry[0] is pulses:
         return entry[1]
-    keys, angles, index, cos_phi, sin_phi, flipped = {}, [], [], [], [], False
+    keys, angles, index, cos_phi, sin_phi = {}, [], [], [], []
     for pulse in pulses:
         angle = pulse.angle
         if isinstance(angle, np.ndarray):
@@ -305,8 +288,8 @@ def _plan(pulses) -> _Plan:
         c, s = _phase_trig(pulse.phase)
         cos_phi.append(c)
         sin_phi.append(s)
-        flipped = flipped or getattr(pulse, "flipped", False)
-    plan = _Plan(np.array(angles, dtype=float), np.array(index, dtype=np.intp), np.array((cos_phi, sin_phi)), flipped)
+    angles = np.array(angles, dtype=float)
+    plan = _Plan(angles, np.array(index, dtype=np.intp), np.array((cos_phi, sin_phi)), bool((angles < 0.0).any()))
     for array in plan[:3]:
         array.setflags(write=False)
     if type(pulses) is tuple and all(isinstance(pulse, Pulse) for pulse in pulses):
@@ -319,7 +302,7 @@ def _pulse_matrices(pulses, kind: str, eps, f):
 
     Everything that depends only on the pulse list comes from its
     :func:`_plan`: the distinct angles, which of them each pulse has, the
-    cosine and sine of every phase and whether any pulse is flipped.  A call
+    cosine and sine of every phase and whether any angle is negative.  A call
     computes w, f and m = |(w, f)| once, and the angle part of
     :func:`_axis_angle` once per distinct angle, for all of them in one step
     along an axis ahead of the grid's: composite sequences repeat a few
@@ -340,8 +323,8 @@ def _pulse_matrices(pulses, kind: str, eps, f):
     else:
         stretch, w = None, (1.0 + eps if kind == SIMULTANEOUS else 1.0)
     plan = _plan(pulses)
-    if stretch is None and plan.flipped:
-        raise flipped_pulse_error()
+    if stretch is None and plan.negative:
+        raise negative_angle_error()
     if not len(plan.index):
         return
     m = _modulus(w, f)

@@ -3,12 +3,19 @@
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from compulse import ErrorModel, compose
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+
+from compulse import ErrorModel, Pulse, compose, residual
 from compulse.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -22,11 +29,13 @@ from compulse.cli import (
     parse_document,
     serialize_document,
 )
-from compulse.sequences import build
+from compulse.sequences import PulseSequence, build, shift_phases
+from compulse.verify import infidelity_grid
 
 from conftest import maxdiff
 
 PI = math.pi
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_main(*argv):
@@ -81,6 +90,33 @@ class TestDocuments:
     def test_not_json(self):
         with pytest.raises(DocumentError):
             parse_document("{not json")
+
+
+class TestNegativeAngleRefusal:
+    """Off-resonance models refuse a negative-angle pulse however the sequence
+    holding it was made: phase shifts and documents keep the angle's sign."""
+
+    SEQ = PulseSequence("negative", -PI / 2, (Pulse(-PI / 2, 0.3),), target_phi=0.3)
+    MADE = {
+        "built": lambda seq: seq,
+        "shift_phases": lambda seq: shift_phases(seq, 0.7),
+        "document": lambda seq: document_to_sequence(parse_document(serialize_document(build_document(seq)))),
+    }
+
+    @pytest.mark.parametrize("made", MADE)
+    @pytest.mark.parametrize("kind", ["ore", "sim"])
+    def test_refused_off_resonance(self, made, kind):
+        seq = self.MADE[made](self.SEQ)
+        assert seq.pulses[0].angle == pytest.approx(-PI / 2)
+        model = ErrorModel(kind, epsilon=0.0 if kind == "ore" else 0.01, f=0.02)
+        match = "nonnegative angles only"
+        with pytest.raises(ValueError, match=match):
+            compose(seq.pulses, model)
+        with pytest.raises(ValueError, match=match):
+            infidelity_grid(seq.pulses, kind, model.epsilon, model.f, seq.target)
+        with pytest.raises(ValueError, match=match):
+            residual(seq.pulses, seq.target, kind, 3)
+        compose(seq.pulses, ErrorModel.pulse_length(0.01))  # fine
 
 
 class TestSynth:
@@ -266,6 +302,17 @@ class TestSweep:
         assert captured.err.startswith("error: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("model", ["ore", "sim"])
+    def test_negative_angle_document_off_resonance(self, model, tmp_path, capsys):
+        doc = tmp_path / "negative.json"
+        assert run_main("synth", "simple", "--theta", "-90", "--out", str(doc)) == EXIT_OK
+        assert json.loads(doc.read_text())["pulses"] == [{"angle_deg": -90.0, "phase_deg": 0.0}]
+        capsys.readouterr()
+        assert run_main("sweep", str(doc), "--model", model) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("name, theta", [("bb1", "0"), ("sk3", "90")])
     def test_unsolvable_theta(self, name, theta, capsys):
         assert run_main("sweep", name, "--theta", theta) == EXIT_UNSOLVABLE
@@ -371,3 +418,70 @@ class TestEntryPoint:
         assert proc.wait() == EXIT_UNWRITABLE
         assert err.startswith(b"error: cannot write output: ")
         assert err.count(b"\n") == 1
+
+
+def _certified(argv, stdout: str):
+    """What ``compulse ARGV...`` certifies in ``stdout``: orders and verdicts
+    of ``verify``, the whole output of ``synth`` and ``compare``."""
+    if argv[0] != "verify":
+        return stdout
+    if "--json" in argv:
+        report = json.loads(stdout)
+        return {k: v for k, v in report.items() if k not in ("loglog_slope", "leading_infidelity_coefficient")}
+    # "numeric order:   3 (log-log slope 5.9964)" keeps its order, not its slope
+    return [line.split(" (")[0] for line in stdout.splitlines() if " order:" in line]
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="x86 kernel settings")
+class TestAcrossKernels:
+    """The certified outputs of the README commands do not depend on the BLAS
+    kernel or on numpy's SIMD level.
+
+    Each setting runs the commands in fresh processes: OpenBLAS takes its
+    kernel from ``OPENBLAS_CORETYPE``, and numpy leaves out the dispatch
+    targets named in ``NPY_DISABLE_CPU_FEATURES``.  Exit codes, orders,
+    OK/MISMATCH verdicts, ``synth`` documents and ``compare`` output must
+    equal those of a run with neither variable set.  Sweep rows and
+    ``--json`` floats move between kernels by design, so they are not
+    compared.  A setting whose CPU features the host lacks is skipped.  On a
+    numpy or OpenBLAS build without run-time dispatch the variables do
+    nothing, and the test then compares a build with itself.
+    """
+
+    COMMANDS = (
+        ("synth", "bb1"),
+        ("verify", "bb1", "--order", "3"),
+        ("verify", "sk3", "--order", "4", "--json"),
+        ("compare", "--variants", "bb1", "sk2rot", "--theta-range", "10:180:86"),
+    )
+    #: each setting and the CPU features it needs
+    SETTINGS = {
+        "openblas-haswell": ({"OPENBLAS_CORETYPE": "Haswell"}, ("AVX2", "FMA3")),
+        "openblas-sandybridge": ({"OPENBLAS_CORETYPE": "Sandybridge"}, ("AVX",)),
+        "numpy-below-avx2": ({"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"},
+                             ("AVX512_SPR", "AVX512_ICL", "X86_V4", "X86_V3")),
+    }
+
+    @staticmethod
+    def _run(setting):
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+        env.update(setting, PYTHONPATH=str(SRC))
+        out = []
+        for argv in TestAcrossKernels.COMMANDS:
+            proc = subprocess.run([sys.executable, "-m", "compulse.cli", *argv], env=env,
+                                  capture_output=True, text=True)
+            out.append((argv, proc.returncode, _certified(argv, proc.stdout)))
+        return out
+
+    @pytest.fixture(scope="class")
+    def default(self):
+        runs = self._run({})
+        assert [code for _, code, _ in runs] == [EXIT_OK] * len(self.COMMANDS)
+        return runs
+
+    @pytest.mark.parametrize("name", SETTINGS)
+    def test_certified_outputs_match_default(self, name, default):
+        setting, features = self.SETTINGS[name]
+        if not all(__cpu_features__.get(feature) for feature in features):
+            pytest.skip(f"the host lacks one of {features}")
+        assert self._run(setting) == default

@@ -15,6 +15,7 @@ from compulse import (
 from compulse import sequences
 from compulse.sequences import (
     CATALOG,
+    PulseSequence,
     SolverFailure,
     bb1,
     build,
@@ -379,7 +380,7 @@ class TestOffResonanceCorrected:
     def test_first_general_orders(self, theta_deg):
         seq = build("or-first-general", math.radians(theta_deg))
         assert _order(seq) == 2
-        assert all(p.angle >= 0.0 and not p.flipped for p in seq.pulses)
+        assert all(p.angle >= 0.0 for p in seq.pulses)
 
     def test_first_general_solved_phases(self):
         theta = math.radians(60.0)
@@ -549,3 +550,7 @@ class TestCatalog:
 
     def test_total_angle(self):
         assert bb1(PI).total_angle == pytest.approx(5 * PI)
+
+    def test_total_angle_counts_negative_angles(self):
+        seq = PulseSequence("mixed", 0.5, (Pulse(-1.5, 0.3), Pulse(2.0, 0.0)))
+        assert seq.total_angle == 3.5

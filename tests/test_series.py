@@ -185,6 +185,16 @@ class TestPropagatorSeries:
         with pytest.raises(ValueError, match=match):
             propagator_series(Pulse(-1.0, 0.0), OFF_RESONANCE, degree=2)
 
+    @pytest.mark.parametrize("theta", [-PI / 2, -1.1, -2.2])
+    def test_negative_angle_matches_shifted_phase(self, theta):
+        # U(theta, phi) = U(-theta, phi + pi) under pulse length errors too
+        for phi in (0.0, 0.3, 4.5):
+            a = propagator_series(Pulse(theta, phi), PULSE_LENGTH, 8)
+            b = propagator_series(Pulse(-theta, phi + PI), PULSE_LENGTH, 8)
+            assert maxdiff(a.alpha.c, b.alpha.c) < 1e-15 and maxdiff(a.beta.c, b.beta.c) < 1e-15
+            for eps in (1e-3, 1e-2):
+                assert maxdiff(a.evaluate(eps, 0.0), b.evaluate(eps, 0.0)) < 1e-15
+
     @pytest.mark.parametrize(
         "angle,kind,eps,f",
         [

@@ -1,5 +1,6 @@
 """Exact propagator algebra: rotations, error models, fidelity, Pauli basis."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -62,10 +63,19 @@ class TestRotation:
 
 class TestPulse:
     def test_negative_angle_normalized(self):
-        p = Pulse(-1.2, 0.3)
-        assert p.angle == pytest.approx(1.2)
-        assert p.phase == pytest.approx(0.3 + math.pi)
-        assert p.flipped
+        # the angle keeps its sign; only the phase is reduced to [0, 2pi)
+        p = Pulse(-1.2, 0.3 + 2 * math.pi)
+        assert p.angle == -1.2
+        assert p.phase == pytest.approx(0.3)
+        assert [f.name for f in dataclasses.fields(Pulse)] == ["angle", "phase"]
+
+    @pytest.mark.parametrize("theta", [-math.pi / 2, -1.1, -2.2])
+    def test_negative_angle_matrix_is_its_rotation(self, theta):
+        for phi in (0.0, 0.3, 4.5):
+            assert pulse_matrix(Pulse(theta, phi), "ple", 0.0, 0.0).tobytes() == rotation(theta, phi).tobytes()
+            for eps in (1e-3, 1e-2):
+                shifted = pulse_matrix(Pulse(-theta, phi + math.pi), "ple", eps, 0.0)
+                assert maxdiff(pulse_matrix(Pulse(theta, phi), "ple", eps, 0.0), shifted) < 1e-15
 
     def test_phase_reduced(self):
         assert Pulse(1.0, 7.0).phase == pytest.approx(7.0 - 2 * math.pi)
@@ -472,7 +482,7 @@ class TestPulseLoop:
     @pytest.mark.parametrize("kind", ["ore", "sim"])
     def test_flipped_pulse_after_same_angle_rejected(self, kind):
         pulses = [Pulse(1.0, 0.3), Pulse(-1.0, 0.0)]
-        assert pulses[0].angle == pulses[1].angle and pulses[1].flipped
+        assert pulses[1].angle == -pulses[0].angle < 0.0
         with pytest.raises(ValueError, match="nonnegative angles only"):
             residual_grid(pulses, kind, 0.01, 0.02, su2.IDENTITY)
         residual_grid(pulses, "ple", 0.01, 0.02, su2.IDENTITY)  # fine

@@ -411,7 +411,7 @@ class TestTargetMemo:
 
     def test_flipped_pulse_refused_after_ple_hit(self):
         seq = build("simple", -PI / 2)
-        assert seq.pulses[0].flipped
+        assert seq.pulses[0].angle == -PI / 2
         infidelity_ld(seq.pulses, "ple", 0.01, 0.0, seq.target)
         for kind in ("ore", "sim"):
             with pytest.raises(ValueError, match="nonnegative angles only"):

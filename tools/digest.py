@@ -7,7 +7,12 @@ Run it from any directory on two checkouts and compare the lines:
 
 It imports compulse from ``src/`` of the checkout it lives in and reads only
 the package's public names, ``compulse.su2`` and ``compulse.cli.MAX_DEGREE``.
-Each family hashes the dtype, shape and raw bytes of every array, the ``repr``
+The first line is the configuration the bits depend on: the numpy version,
+numpy's baseline and enabled run-time dispatch SIMD targets, and the
+OpenBLAS core (``unknown`` where numpy's bundled OpenBLAS does not say).
+Other OpenBLAS kernels or SIMD levels print other lines for most families,
+so compare digests only between runs with equal configuration lines.  Each
+family hashes the dtype, shape and raw bytes of every array, the ``repr``
 of every float, and the message of every refused input, in a fixed order, so
 equal digests mean equal bits.  The families:
 
@@ -17,8 +22,9 @@ equal digests mean equal bits.  The families:
 - ``infidelity_repeats``: ``infidelity_grid`` called again and again on the
   same pulse tuples, as a sweep does point by point: each sequence's tuple
   twice in a row, each pair of consecutive sequences alternating, and a
-  tuple with a flipped pulse under ple, then ore and sim (refused), then ple
-  again, so that a kept plan or target cannot change a bit or a refusal;
+  tuple with a negative-angle pulse under ple, then ore and sim (refused),
+  then ple again, so that a kept plan or target cannot change a bit or a
+  refusal;
 - ``su2``: ``pulse_matrix``, ``propagator``, ``compose`` and ``residual_grid``
   of the same sequences;
 - ``contour_sigma_norms``: 32 and 64 nodes, the same sequences;
@@ -46,7 +52,7 @@ equal digests mean equal bits.  The families:
 - ``cli``: exit code, stdout and written files of the README commands;
 - ``cli_refusals``: exit code, stdout and stderr of every refusal the CLI
   documents: unknown names, refused angles, unusable documents, a model
-  without an axis, series overflow, a flipped pulse off resonance,
+  without an axis, series overflow, a negative-angle pulse off resonance,
   unwritable outputs, too few or uncorrected ``compare`` variants, and
   argparse's refusals of malformed options.  It also runs the malformed
   documents that still exit 1 with a traceback; their stderr is cut to the
@@ -56,6 +62,7 @@ equal digests mean equal bits.  The families:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import math
@@ -209,9 +216,9 @@ def repeat_family() -> str:
             for a, b in zip(seqs, seqs[1:]):
                 for seq in (a, b, a, b):
                     d.call(infidelity_grid, seq.pulses, kind, eps, f, seq.target)
-    flipped = build("simple", -math.pi / 2)
+    negative = build("simple", -math.pi / 2)
     for kind in ("ple", "ore", "sim", "ple"):
-        d.call(infidelity_grid, flipped.pulses, kind, 0.013, 0.007, flipped.target)
+        d.call(infidelity_grid, negative.pulses, kind, 0.013, 0.007, negative.target)
     return d.line("infidelity_repeats")
 
 
@@ -387,11 +394,33 @@ def cli_refusal_family() -> list[str]:
     return [d.line("cli_refusals")]
 
 
+def _openblas_core() -> str:
+    """The kernel numpy's bundled OpenBLAS runs, or "unknown"."""
+    for path in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def configuration_line() -> str:
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    dispatch = [target for target in umath.__cpu_dispatch__ if umath.__cpu_features__.get(target)]
+    return (f"{'configuration':22s} numpy {np.__version__}, baseline {' '.join(umath.__cpu_baseline__) or '-'}, "
+            f"dispatch {' '.join(dispatch) or '-'}, openblas {_openblas_core()}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--no-cli", action="store_true", help="skip the CLI families")
     args = parser.parse_args()
-    lines = grid_families() + crossover_family() + fit_family() + sequence_family() + series_family()
+    lines = [configuration_line()] + grid_families() + crossover_family() + fit_family() + sequence_family() + series_family()
     if not args.no_cli:
         lines += cli_family() + cli_refusal_family()
     print("\n".join(lines))
