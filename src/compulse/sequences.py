@@ -33,13 +33,16 @@ are defined for a 180 degree target only and refuse any other angle.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .su2 import OFF_RESONANCE, PULSE_LENGTH, SIMULTANEOUS, Pulse, contour_sigma_norms, rotation
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
+#: largest sigma norm of degree 1..3 that the third-order solver's root may leave
+_SOLVER_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,8 @@ class PulseSequence:
 
     @property
     def total_angle(self) -> float:
-        return sum(abs(p.angle) for p in self.pulses)
+        # left to right, as in series.leading_error, whatever the Python version
+        return reduce(operator.add, (abs(p.angle) for p in self.pulses), 0.0)
 
 
 class SolverFailure(RuntimeError):
@@ -239,7 +243,7 @@ def _sk3(theta: float) -> PulseSequence:
 
 
 @lru_cache(maxsize=1)
-def solve_third_order(tol: float = 1e-12) -> tuple[float, float]:
+def solve_third_order() -> tuple[float, float]:
     """Phase pair (phi3, delta) cancelling the third-order error of bb1(pi).
 
     The residual of the broadband 180 sequence has no degree-1 or degree-2
@@ -251,16 +255,16 @@ def solve_third_order(tol: float = 1e-12) -> tuple[float, float]:
     branch with phi3 in (0, pi/2), and delta = atan2(sqrt(15), -5).  It is
     checked on the contour: the sigma norms of the corrected residual at
     degrees 1, 2 and 3, read off 64 nodes, where 32 would alias ~4e-11 into
-    degree 3.  If the largest does not fall below ``tol``, SolverFailure
-    carries ``best = (phi3, delta, norm)``.
+    degree 3.  If the largest does not fall below ``_SOLVER_TOL``,
+    SolverFailure carries ``best = (phi3, delta, norm)``.
     """
     phi3 = math.acos((math.sqrt(40.0) / 2048.0) ** (1.0 / 3.0))
     delta = math.atan2(math.sqrt(15.0), -5.0)
     norm = float(contour_sigma_norms(_sk3_pulses(phi3, delta), rotation(PI, 0.0), points=64)[1:].max())
-    if not norm < tol:
+    if not norm < _SOLVER_TOL:
         raise SolverFailure(
             f"third-order phase solver: |residual| {norm:.3e} at the closed-form root "
-            f"is not below {tol}",
+            f"is not below {_SOLVER_TOL}",
             best=(phi3, delta, norm),
         )
     return phi3, delta

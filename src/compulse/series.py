@@ -358,5 +358,6 @@ def leading_error(a: MatrixSeries) -> ErrorTermReport:
 
     if 2 * order > a.degree:
         return ErrorTermReport(order, pauli, None, None, a.degree)
-    infid_coeff = sum(abs(c) ** 2 for c in pauli) / 2.0
+    # left to right: the builtin sum compensates from Python 3.12 on and moves the last bit
+    infid_coeff = (abs(cx) ** 2 + abs(cy) ** 2 + abs(cz) ** 2) / 2.0
     return ErrorTermReport(order, pauli, 2 * order, infid_coeff, a.degree)

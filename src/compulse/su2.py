@@ -13,13 +13,13 @@ every route: the kind check (:func:`kind_of`), that refusal
 (:func:`negative_angle_error`) and the sweep axis of each single-channel
 kind (``KIND_AXIS``).
 
-The residual W = V U^dag of a sequence is analytic in the error fractions.
-:func:`contour_sigma_norms` composes it at complex pulse-length fractions on
-a circle and reads its Taylor coefficients of degree 0..3 off one discrete
-Cauchy sum; both the phase solver in ``sequences`` and the crossover scan in
-``verify`` use that read-out, and neither touches the series engine.  It
-composes W column by column, one matrix-vector step per pulse on entry
-arrays, while the real-axis route (:func:`compose_grid`,
+The residual W = V U^dag of a sequence is analytic in the error fractions,
+so Cauchy sums at complex fractions read its Taylor coefficients:
+:func:`contour_sigma_norms` those of its sigma part in eps on a circle, for
+the phase solver in ``sequences`` and the crossover scan in ``verify``, and
+``verify`` the eps^2 f^2 fidelity term on a torus in (eps, f), neither with
+the series engine.  Both compose W with :func:`residual_columns`, column by
+column, while the real-axis route (:func:`compose_grid`,
 :func:`residual_grid`) multiplies stacks of 2x2 matrices with ``@``.
 
 The grid pulse loop behind :func:`residual_grid` splits each propagator into
@@ -410,9 +410,9 @@ def residual_grid(pulses, kind: str, eps, f, u: np.ndarray) -> np.ndarray:
     The modulus, cosine and sine of the angle part are evaluated once per
     distinct pulse angle, not once per pulse, and the phase parts of a batch
     of pulses in one step (see :func:`_pulse_matrices`); the product is then
-    taken pulse by pulse, so W does not depend on the batching.  On the
-    contour, :func:`contour_sigma_norms` composes the same W by columns;
-    the two differ by rounding only.
+    taken pulse by pulse, so W does not depend on the batching.
+    :func:`residual_columns` composes the same W by columns; the two differ
+    by rounding only.
     """
     return compose_grid(pulses, kind, eps, f) @ adjoint(u)
 
@@ -430,29 +430,36 @@ def taylor_coefficients(values: np.ndarray) -> np.ndarray:
     return values @ _contour(values.shape[-1])[1]
 
 
-def contour_sigma_norms(pulses, u: np.ndarray, points: int = CONTOUR_POINTS) -> np.ndarray:
-    """Norms of the degree 0..3 sigma coefficients of a pulse-length residual.
+def residual_columns(pulses, kind: str, eps, f, u: np.ndarray) -> tuple:
+    """Entries (w00, w10, w01, w11) of W = V U^dag (see :func:`residual_grid`).
 
-    W = V U^dag (see :func:`residual_grid`) is composed at ``points`` complex
-    fractions on the circle |eps| = ``CONTOUR_RADIUS``; more nodes push the
-    aliasing error, of relative size r^N, further down.  W is composed as its
-    two columns: each starts as a column of U^dag and takes one
-    matrix-vector step per pulse, written out on the entry arrays of the
-    pulse matrices of :func:`_pulse_matrices`, since numpy's ``@`` on a stack
-    of 2x2 matrices makes one BLAS call per matrix.  The result has the
-    batch shape of the pulses and targets followed by 4.  An empty pulse
-    list raises ValueError.
+    Each column of W starts as a column of U^dag and takes one matrix-vector
+    step per pulse, written out on the entry arrays of the pulse matrices of
+    :func:`_pulse_matrices`: numpy's ``@`` on a stack of 2x2 matrices makes
+    one BLAS call per matrix.  An empty pulse list raises ValueError.
     """
     u_dag = adjoint(u)
     w00, w10, w01, w11 = u_dag[..., 0, 0], u_dag[..., 1, 0], u_dag[..., 0, 1], u_dag[..., 1, 1]
     composed = False
-    for m in _pulse_matrices(pulses, PULSE_LENGTH, _contour(points)[0], 0.0):
+    for m in _pulse_matrices(pulses, kind, eps, f):
         m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
         w00, w10 = m00 * w00 + m01 * w10, m10 * w00 + m11 * w10
         w01, w11 = m00 * w01 + m01 * w11, m10 * w01 + m11 * w11
         composed = True
     if not composed:
         raise ValueError("cannot compose an empty pulse sequence")
+    return w00, w10, w01, w11
+
+
+def contour_sigma_norms(pulses, u: np.ndarray, points: int = CONTOUR_POINTS) -> np.ndarray:
+    """Norms of the degree 0..3 sigma coefficients of a pulse-length residual.
+
+    W (see :func:`residual_columns`) is composed at ``points`` complex
+    fractions on the circle |eps| = ``CONTOUR_RADIUS``; more nodes push the
+    aliasing error, of relative size r^N, further down.  The result has the
+    batch shape of the pulses and targets followed by 4.
+    """
+    w00, w10, w01, w11 = residual_columns(pulses, PULSE_LENGTH, _contour(points)[0], 0.0, u)
     # sigma parts of W without conj, so that they stay analytic in eps
     sigma = np.stack([w01 + w10, 1j * (w01 - w10), w00 - w11]) / 2.0
     # one (3 n, N) product: a stacked one takes another BLAS kernel and rounds differently

@@ -296,7 +296,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("model", ["ore", "sim"])
     def test_flipped_pulse_off_resonance(self, model, capsys):
-        # a negative target angle flips the pulse, which off-resonance models refuse
+        # a negative target angle gives a negative-angle pulse, which off-resonance models refuse
         assert run_main("sweep", "simple", "--theta", "-90", "--model", model) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
@@ -440,8 +440,9 @@ class TestAcrossKernels:
     Each setting runs the commands in fresh processes: OpenBLAS takes its
     kernel from ``OPENBLAS_CORETYPE``, and numpy leaves out the dispatch
     targets named in ``NPY_DISABLE_CPU_FEATURES``.  Exit codes, orders,
-    OK/MISMATCH verdicts, ``synth`` documents and ``compare`` output must
-    equal those of a run with neither variable set.  Sweep rows and
+    OK/MISMATCH verdicts, ``synth`` documents, ``compare`` output and the
+    stderr of refused commands must equal those of a run with neither
+    variable set.  Sweep rows and
     ``--json`` floats move between kernels by design, so they are not
     compared.  A setting whose CPU features the host lacks is skipped.  On a
     numpy or OpenBLAS build without run-time dispatch the variables do
@@ -453,6 +454,14 @@ class TestAcrossKernels:
         ("verify", "bb1", "--order", "3"),
         ("verify", "sk3", "--order", "4", "--json"),
         ("compare", "--variants", "bb1", "sk2rot", "--theta-range", "10:180:86"),
+    )
+    #: refused commands and their exit codes: an angle sk3 is not defined at, a
+    #: negative-angle pulse off resonance, a series overflow, an uncorrected variant
+    REFUSALS = (
+        (("verify", "sk3", "--theta", "90", "--order", "4"), EXIT_UNSOLVABLE),
+        (("sweep", "simple", "--theta", "-90", "--model", "ore"), EXIT_USAGE),
+        (("verify", "simple", "--theta", "1e308", "--order", "1"), EXIT_USAGE),
+        (("compare", "--variants", "sk1", "bb1"), EXIT_USAGE),
     )
     #: each setting and the CPU features it needs
     SETTINGS = {
@@ -467,16 +476,19 @@ class TestAcrossKernels:
         env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
         env.update(setting, PYTHONPATH=str(SRC))
         out = []
-        for argv in TestAcrossKernels.COMMANDS:
+        for argv in TestAcrossKernels.COMMANDS + tuple(argv for argv, _ in TestAcrossKernels.REFUSALS):
             proc = subprocess.run([sys.executable, "-m", "compulse.cli", *argv], env=env,
                                   capture_output=True, text=True)
-            out.append((argv, proc.returncode, _certified(argv, proc.stdout)))
+            refused = proc.returncode != EXIT_OK
+            out.append((argv, proc.returncode, proc.stderr if refused else _certified(argv, proc.stdout)))
         return out
 
     @pytest.fixture(scope="class")
     def default(self):
         runs = self._run({})
-        assert [code for _, code, _ in runs] == [EXIT_OK] * len(self.COMMANDS)
+        expected = [EXIT_OK] * len(self.COMMANDS) + [code for _, code in self.REFUSALS]
+        assert [code for _, code, _ in runs] == expected
+        assert all(runs[i][2].startswith("error: ") for i in range(len(self.COMMANDS), len(runs)))
         return runs
 
     @pytest.mark.parametrize("name", SETTINGS)

@@ -254,11 +254,12 @@ class TestThirdOrderSolver:
             solve_third_order.cache_clear()
         assert solver_lists == [build("sk3", PI).pulses]
 
-    def test_failed_check_carries_root(self):
+    def test_failed_check_carries_root(self, monkeypatch):
         # no residual is below a zero tolerance: the check fails, and the
         # closed-form root still comes back as the best point
+        monkeypatch.setattr(sequences, "_SOLVER_TOL", 0.0)
         with pytest.raises(SolverFailure) as err:
-            solve_third_order.__wrapped__(tol=0.0)
+            solve_third_order.__wrapped__()
         assert err.value.best[:2] == solve_third_order()
         assert 0.0 <= err.value.best[2] < 1e-9
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import compulse.series
 from compulse import (
     ErrorModel,
     MatrixSeries,
@@ -201,9 +202,9 @@ class TestPropagatorSeries:
             (2.2, PULSE_LENGTH, 1e-3, 0.0),
             (2.2, OFF_RESONANCE, 0.0, 1e-3),
             (2.2, SIMULTANEOUS, 1e-3, 1e-3),
-            (-2.2, PULSE_LENGTH, 1e-3, 0.0),  # flipped: phase 0.9 + pi
+            (-2.2, PULSE_LENGTH, 1e-3, 0.0),  # a signed angle, kept as given
         ],
-        ids=["ple-0.001-0.0", "ore-0.0-0.001", "sim-0.001-0.001", "ple-flipped"],
+        ids=["ple-0.001-0.0", "ore-0.0-0.001", "sim-0.001-0.001", "ple-negative"],
     )
     @pytest.mark.parametrize("degree", [2, 3])
     def test_matches_exact_propagator_at_small_error(self, angle, kind, eps, f, degree):
@@ -364,6 +365,22 @@ class TestLeadingError:
         i, j = (rep.infidelity_degree, 0) if seq.model_kind == PULSE_LENGTH else (0, rep.infidelity_degree)
         want = -fidelity_series(res).coeff(i, j).real
         assert rep.infidelity_coefficient == pytest.approx(want, rel=1e-11)
+
+    def test_coefficient_independent_of_compensated_sum(self, monkeypatch):
+        # the builtin sum compensates from Python 3.12 on (Neumaier); under that
+        # rule a sum of |c|^2 would print 562.424553803174 here
+        def neumaier(values, start=0):
+            total, comp = float(start), 0.0
+            for x in values:
+                t = total + x
+                comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+                total = t
+            return total + comp
+
+        monkeypatch.setattr(compulse.series, "sum", neumaier, raising=False)
+        seq = build("sk2", 2 * PI)
+        rep = leading_error(residual(seq.pulses, seq.target, PULSE_LENGTH, 8))
+        assert repr(rep.infidelity_coefficient) == "562.4245538031739"
 
 
 class TestFidelitySeries:

@@ -26,6 +26,7 @@ from compulse.su2 import (
     _chain,
     contour_sigma_norms,
     pulse_matrix,
+    residual_columns,
     residual_grid,
     taylor_coefficients,
 )
@@ -627,6 +628,18 @@ class TestContourColumns:
         # random lists carry every degree, 0 included
         assert np.all(want > 1e-6)
         assert np.abs(got - want).max() <= self.BOUND * w_max
+
+    @pytest.mark.parametrize("name", ["simultaneous", "or-second-corpse"])
+    def test_sim_torus_agrees_with_residual_grid(self, name):
+        # the entries the eps^2 f^2 read-out takes, under both errors at once
+        seq = build(name, math.pi)
+        u = su2.rotation(seq.target.angle, seq.target.phase)
+        eps, f = CONTOUR_EPS[:, None], CONTOUR_EPS[None, :]
+        w = residual_grid(seq.pulses, "sim", eps, f, u)
+        got = np.stack(residual_columns(seq.pulses, "sim", eps, f, u), axis=-1)
+        want = w.reshape(w.shape[:-2] + (4,))[..., [0, 2, 1, 3]]  # w00, w10, w01, w11
+        assert got.shape == want.shape == (32, 32, 4)
+        assert np.abs(got - want).max() <= self.BOUND * np.abs(w).max()
 
     @pytest.mark.parametrize("pulses", [[], ()], ids=["list", "tuple"])
     def test_empty_pulse_list_refused(self, pulses):

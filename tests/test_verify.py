@@ -634,16 +634,17 @@ class TestFidelitySurface:
             fidelity_surface(build("simultaneous", PI), eps_grid, f_grid)
 
     def test_signed_grid_allowed(self):
-        # unlike a 1-D sweep, the table takes signed fractions, as its cross fit does
+        # unlike a 1-D sweep, the table takes signed fractions
         eps, f = np.array([-2e-2, 3e-3, 1e-2]), np.array([5e-3, -1e-2])
         sf = fidelity_surface(build("simultaneous", PI), eps, f)
         assert sf.eps_grid.tobytes() == eps.tobytes() and sf.f_grid.tobytes() == f.tobytes()
         assert sf.infidelity.shape == (3, 2) and np.isfinite(sf.infidelity).all()
 
-    @pytest.mark.parametrize("name", [n for n in CATALOG if n != "or-second-corpse"])
+    @pytest.mark.parametrize("name", list(CATALOG))
     def test_catalog_surface_matches_series(self, name):
         # the axis degrees are 2 * the series order and the coefficients are the
-        # series' leading infidelity terms; fixed degrees 6 and 4 missed on 12 entries
+        # series' leading infidelity terms; fixed degrees 6 and 4 missed on 12 entries.
+        # The cross coefficient is read, not fitted, so it is held to 1e-9
         seq = build(name, PI)
         sf = fidelity_surface(seq)
         fs = fidelity_series(residual(seq.pulses, seq.target, "sim", 8))
@@ -652,15 +653,42 @@ class TestFidelitySurface:
             assert degree == 2 * n, axis
             exponents = (degree, 0) if axis == "eps" else (0, degree)
             assert coeff == pytest.approx(-fs.coeff(*exponents).real, rel=0.01), axis
-        assert sf.coeff_cross == pytest.approx(-fs.coeff(2, 2).real, rel=0.01)
+        c22 = -fs.coeff(2, 2).real
+        assert sf.coeff_cross == pytest.approx(c22, rel=1e-9, abs=1e-9)
 
-    def test_cross_term_of_degree_three_refused(self):
-        # or-second-corpse keeps an eps^2 f term through the +-eps average, so the
-        # x^4 fit of its cross part would read -5833 where the series' eps^2 f^2 is 189.8
+    def test_cross_term_read_beside_eps2_f_term(self):
+        # or-second-corpse has an eps^2 f term, which a fit on the diagonal eps = f
+        # could not separate from eps^2 f^2; the torus read-out takes each apart
         seq = build("or-second-corpse", PI)
-        assert fidelity_series(residual(seq.pulses, seq.target, "sim", 4)).coeff(2, 1).real != 0.0
-        with pytest.raises(ValueError, match="log-log slope 2.84"):
-            fidelity_surface(seq)
+        fs = fidelity_series(residual(seq.pulses, seq.target, "sim", 4))
+        assert fs.coeff(2, 1).real != 0.0
+        assert fidelity_surface(seq).coeff_cross == pytest.approx(-fs.coeff(2, 2).real, rel=1e-9)
+
+    @pytest.mark.parametrize("degrees", [37.0, 123.0, 720.0])
+    def test_catalog_cross_coefficient_at_other_angles(self, degrees):
+        # sk1 at 37 and 123 degrees was refused by the diagonal fit
+        for name in CATALOG:
+            try:
+                seq = build(name, math.radians(degrees))
+            except ValueError:
+                continue  # an entry defined at 180 degrees only
+            c22 = -fidelity_series(residual(seq.pulses, seq.target, "sim", 4)).coeff(2, 2).real
+            got = compulse.verify._cross_coefficient(seq, seq.target)
+            assert abs(got - c22) <= 1e-9 * max(1.0, abs(c22)), name
+
+    @pytest.mark.parametrize("count", range(1, 13))
+    def test_cross_coefficient_of_random_pulses(self, count):
+        # random pulses, then their ideal inverse (reversed, phase + pi), against the identity
+        rng = np.random.default_rng(20040521 + count)
+        for _ in range(2):
+            angles, phases = rng.uniform(0.0, 2.0 * PI, (2, count))
+            angles = 2.0 * PI - angles  # in (0, 2 pi]
+            pulses = [Pulse(a, p) for a, p in zip(angles, phases)]
+            pulses += [Pulse(p.angle, p.phase + PI) for p in reversed(pulses)]
+            identity = Pulse(0.0, 0.0)
+            c22 = -fidelity_series(residual(pulses, identity, "sim", 4)).coeff(2, 2).real
+            got = compulse.verify._cross_coefficient(pulses, identity)
+            assert abs(got - c22) <= 1e-9 * max(1.0, abs(c22))
 
     def test_axis_without_order_refused(self):
         # sk2 at 720 degrees is an exact identity: no order along eps, so no coefficient
