@@ -18,24 +18,30 @@ so Cauchy sums at complex fractions read its Taylor coefficients:
 :func:`contour_sigma_norms` those of its sigma part in eps on a circle, for
 the phase solver in ``sequences`` and the crossover scan in ``verify``, and
 ``verify`` the eps^2 f^2 fidelity term on a torus in (eps, f), neither with
-the series engine.  Both compose W with :func:`residual_columns`, column by
-column, while the real-axis route (:func:`compose_grid`,
-:func:`residual_grid`) multiplies stacks of 2x2 matrices with ``@``.
+the series engine.  Every composition, real fractions, complex ones and
+:func:`compose` alike, goes through one kernel, :func:`_columns`: each
+column of W takes one matrix-vector step per pulse, written out on the
+entries of the pulse matrices.  No ``@`` multiplies pulse matrices, so no
+BLAS kernel enters the bits of W.
 
-The grid pulse loop behind :func:`residual_grid` splits each propagator into
+The pulse loop behind :func:`residual_columns` splits each propagator into
 an angle part (the modulus, cosine and sine) and a phase part.  Composite
 sequences repeat a few angles at many phases, so the angle part is evaluated
 once per distinct angle and shared by every pulse of that angle.  The phase
-parts of a batch of consecutive pulses are built in one step, on arrays with
-a leading pulse axis; a batch covers about ``_BATCH_POINTS`` grid points, so a
-scalar point builds its whole sequence at once and a large grid goes pulse by
-pulse.  Each matrix is still the one a lone pulse gives, bit for bit.  What
-the loop reads of the pulse list alone (the distinct angles, each pulse's
-place among them, the cosine and sine of every phase, whether any angle is
-negative) is its plan, and the plan of the most recent tuple of
-:class:`Pulse` is kept, keyed by the tuple's identity, so a sweep that
-passes one tuple point by point plans it once.  Lists are planned on every
-call, since they may change between calls.
+parts of a batch of consecutive pulses are built in one step, as one stack
+with a leading pulse axis; a batch covers about ``_BATCH_POINTS`` grid
+points, so a scalar point builds its whole sequence at once and a large grid
+goes pulse by pulse.  Each matrix is still the one a lone pulse gives, bit
+for bit, and W does not depend on the batching.  A scalar point and the same
+point inside a grid agree within rounding, not bit for bit: a scalar point
+steps on numpy scalars, whose complex product is not fused, while a grid
+steps on arrays, whose SIMD complex product may be.  What the loop reads of
+the pulse list alone (the distinct angles, each pulse's place among them,
+the cosine and sine of every phase, whether any angle is negative) is its
+plan, and the plan of the most recent tuple of :class:`Pulse` is kept,
+keyed by the tuple's identity, so a sweep that passes one tuple point by
+point plans it once.  Lists are planned on every call, since they may change
+between calls.
 
 All matrices are plain complex numpy arrays, and the small value types are
 frozen dataclasses.  Every function is pure except for that one kept plan,
@@ -298,7 +304,8 @@ def _plan(pulses) -> _Plan:
 
 
 def _pulse_matrices(pulses, kind: str, eps, f):
-    """Propagators of ``pulses`` under error model ``kind`` at fractions (eps, f), in order.
+    """Propagators of ``pulses`` under error model ``kind`` at fractions (eps, f),
+    in order, as stacks of consecutive pulses.
 
     Everything that depends only on the pulse list comes from its
     :func:`_plan`: the distinct angles, which of them each pulse has, the
@@ -308,13 +315,13 @@ def _pulse_matrices(pulses, kind: str, eps, f):
     along an axis ahead of the grid's: composite sequences repeat a few
     angles at many phases.
 
-    The phase part is built for a batch of consecutive pulses at once: their
-    angle parts are stacked along a leading pulse axis, and one
+    Each yielded batch is one stack of shape (pulses,) + grid + (2, 2): the
+    batch's angle parts are stacked along a leading pulse axis, and one
     :func:`_phase_part` call makes all their matrices.  A batch holds
     ``max(1, _BATCH_POINTS // grid points)`` pulses, so a scalar point or a
     contour builds a whole sequence in one step, while a large grid goes one
-    pulse at a time and its stacks stay small.  Each yielded matrix equals the
-    one :func:`_axis_angle` gives for that pulse alone, bit for bit, unless a
+    pulse at a time and its stacks stay small.  Each matrix equals the one
+    :func:`_axis_angle` gives for that pulse alone, bit for bit, unless a
     fraction is a complex scalar: numpy may round a product of complex
     scalars otherwise than the same product inside an array.
     """
@@ -336,17 +343,13 @@ def _pulse_matrices(pulses, kind: str, eps, f):
         angles = angles.reshape(angles.shape[:1] + (1,) * pad + angles.shape[1:])
     parts = _angle_part(angles if stretch is None else angles * stretch, m, f)
     size = max(1, _BATCH_POINTS // max(parts[0][0].size, 1))
-    if size == 1:
-        for at, cos_phi, sin_phi in zip(plan.index.tolist(), *plan.trig):
-            yield _phase_part(*(part[at] for part in parts), cos_phi, sin_phi, w)
-        return
     for start in range(0, len(plan.index), size):
         at = plan.index[start:start + size]
         c, s, sz = (part[at] for part in parts)
         cos_phi, sin_phi = plan.trig[:, start:start + size]
         # float phases give one value per pulse: align it with the pulse axis of c
         lead = cos_phi.shape + (1,) * (c.ndim - cos_phi.ndim)
-        yield from _phase_part(c, s, sz, cos_phi.reshape(lead), sin_phi.reshape(lead), w)
+        yield _phase_part(c, s, sz, cos_phi.reshape(lead), sin_phi.reshape(lead), w)
 
 
 def pulse_matrix(pulse: Pulse, kind: str, eps, f) -> np.ndarray:
@@ -357,7 +360,7 @@ def pulse_matrix(pulse: Pulse, kind: str, eps, f) -> np.ndarray:
     not carry is ignored.  An unknown ``kind`` raises ``ValueError``.
     """
     # a list is never kept, so a lone pulse does not displace a sweep's kept plan
-    return next(_pulse_matrices([pulse], kind, eps, f))
+    return next(_pulse_matrices([pulse], kind, eps, f))[0]
 
 
 def propagator(pulse: Pulse, model: ErrorModel) -> np.ndarray:
@@ -378,43 +381,11 @@ def compose(pulses, model: ErrorModel) -> np.ndarray:
     ``pulses`` is any iterable of :class:`Pulse` in chronological order (a
     :class:`~compulse.sequences.PulseSequence` works directly).  The result
     is the matrix product with the chronologically first pulse as the
-    rightmost factor.
+    rightmost factor, composed from one :func:`propagator` call per pulse by
+    :func:`_columns`, with the bits of :func:`residual_columns` at U = I.
     """
-    return _chain(propagator(p, model) for p in pulses)
-
-
-def _chain(matrices) -> np.ndarray:
-    """Product of (stacks of) matrices, the first one the rightmost factor."""
-    out = None
-    for m in matrices:
-        out = m if out is None else m @ out
-    if out is None:
-        raise ValueError("cannot compose an empty pulse sequence")
-    return out
-
-
-def compose_grid(pulses, kind: str, eps, f) -> np.ndarray:
-    """The sequence V composed under error model ``kind`` at every point of
-    the broadcast grid of (eps, f); see :func:`residual_grid`."""
-    return _chain(_pulse_matrices(pulses, kind, eps, f))
-
-
-def residual_grid(pulses, kind: str, eps, f, u: np.ndarray) -> np.ndarray:
-    """W = V U^dag at every point of the broadcast grid of (eps, f).
-
-    V is the sequence composed under error model ``kind``; a pulse is
-    anything with the fields :func:`pulse_matrix` reads, which under "ple"
-    are ``angle`` and ``phase`` only, so they may be columns of several
-    sequences.  U is the ideal target matrix, or a stack of them that
-    broadcasts against V.  W has the broadcast shape followed by (2, 2).
-    The modulus, cosine and sine of the angle part are evaluated once per
-    distinct pulse angle, not once per pulse, and the phase parts of a batch
-    of pulses in one step (see :func:`_pulse_matrices`); the product is then
-    taken pulse by pulse, so W does not depend on the batching.
-    :func:`residual_columns` composes the same W by columns; the two differ
-    by rounding only.
-    """
-    return compose_grid(pulses, kind, eps, f) @ adjoint(u)
+    w00, w10, w01, w11 = _columns((propagator(p, model)[None] for p in pulses), IDENTITY)
+    return np.stack((w00, w01, w10, w11), axis=-1).reshape(np.shape(w00) + (2, 2))
 
 
 def taylor_coefficients(values: np.ndarray) -> np.ndarray:
@@ -431,21 +402,41 @@ def taylor_coefficients(values: np.ndarray) -> np.ndarray:
 
 
 def residual_columns(pulses, kind: str, eps, f, u: np.ndarray) -> tuple:
-    """Entries (w00, w10, w01, w11) of W = V U^dag (see :func:`residual_grid`).
+    """Entries (w00, w10, w01, w11) of W = V U^dag at every point of the
+    broadcast grid of (eps, f).
 
+    V is the sequence composed under error model ``kind``; a pulse is
+    anything with the fields :func:`pulse_matrix` reads, which under "ple"
+    are ``angle`` and ``phase`` only, so they may be columns of several
+    sequences.  U is the ideal target matrix, or a stack of them that
+    broadcasts against V; each entry has the broadcast shape.  The pulse
+    matrices come from :func:`_pulse_matrices` and are composed by
+    :func:`_columns`, so W does not depend on the batching.  An empty pulse
+    list raises ValueError.
+    """
+    return _columns(_pulse_matrices(pulses, kind, eps, f), u)
+
+
+def _columns(batches, u: np.ndarray) -> tuple:
+    """Entries (w00, w10, w01, w11) of the product of the pulse matrices in
+    ``batches`` times U^dag, the first pulse the rightmost factor.
+
+    ``batches`` yields stacks of pulse matrices along a leading pulse axis.
     Each column of W starts as a column of U^dag and takes one matrix-vector
-    step per pulse, written out on the entry arrays of the pulse matrices of
-    :func:`_pulse_matrices`: numpy's ``@`` on a stack of 2x2 matrices makes
-    one BLAS call per matrix.  An empty pulse list raises ValueError.
+    step per pulse, written out on the pulse's entry arrays, which the
+    inner ``zip`` takes off the stack: numpy scalars for a scalar point,
+    whose arithmetic is far cheaper than that of 0-d arrays.  This is the
+    only place that multiplies pulse matrices.  An empty ``batches`` raises
+    ValueError.
     """
     u_dag = adjoint(u)
     w00, w10, w01, w11 = u_dag[..., 0, 0], u_dag[..., 1, 0], u_dag[..., 0, 1], u_dag[..., 1, 1]
     composed = False
-    for m in _pulse_matrices(pulses, kind, eps, f):
-        m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-        w00, w10 = m00 * w00 + m01 * w10, m10 * w00 + m11 * w10
-        w01, w11 = m00 * w01 + m01 * w11, m10 * w01 + m11 * w11
-        composed = True
+    for m in batches:
+        for m00, m01, m10, m11 in zip(m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]):
+            w00, w10 = m00 * w00 + m01 * w10, m10 * w00 + m11 * w10
+            w01, w11 = m00 * w01 + m01 * w11, m10 * w01 + m11 * w11
+            composed = True
     if not composed:
         raise ValueError("cannot compose an empty pulse sequence")
     return w00, w10, w01, w11

@@ -1,17 +1,19 @@
 """Independent numeric checks of the series engine's order and coefficient claims.
 
-Nothing here touches the power-series code path: sequences are composed with
-plain float64 matrix arithmetic over whole error grids, infidelities are
-swept over geometric grids, and error orders and leading coefficients are
-recovered from log-log slopes and small-x extrapolation.  Every sweep along
+Nothing here touches the power-series code path: sequences are composed in
+plain float64 over whole error grids, column by column through
+:func:`compulse.su2.residual_columns`, infidelities are swept over geometric
+grids, and error orders and leading coefficients are recovered from log-log
+slopes and small-x extrapolation.  Every sweep along
 one error axis goes through :func:`axis_sweep`, which maps the axis to its
 error model (the inverse of ``su2.KIND_AXIS``), takes the sequence's own
 target or the identity for a bare pulse list, and checks and sorts the grid.
 The infidelity is taken from the Pauli (sigma) part of the residual unitary
 rather than from 1 - |Tr/2|, so it carries no cancellation floor and needs
-no extended precision: results are the same on every platform, whatever its
-``longdouble``.  Taylor coefficients of the same residual, read on contours
-of complex fractions, give the degree-3 magnitudes of :func:`crossover_scan`
+no extended precision: infidelities do not depend on the platform's
+``longdouble``, and their composition makes no BLAS call.  Taylor
+coefficients of the same residual, read on contours of complex fractions,
+give the degree-3 magnitudes of :func:`crossover_scan`
 (:func:`compulse.su2.contour_sigma_norms`) and the eps^2 f^2 coefficient of
 :func:`fidelity_surface`.  The whole angle grid of one variant of a scan is
 a single batched composition.  The bisection for the crossover then composes
@@ -30,8 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .sequences import build
-from .su2 import (CONTOUR_EPS, CONTOUR_RADIUS, KIND_AXIS, SIMULTANEOUS, Pulse, adjoint, compose_grid,
-                  contour_sigma_norms, residual_columns, rotation, taylor_coefficients)
+from .su2 import (CONTOUR_EPS, CONTOUR_RADIUS, KIND_AXIS, SIMULTANEOUS, Pulse, contour_sigma_norms,
+                  residual_columns, rotation, taylor_coefficients)
 
 #: sweep defaults: geometric grid and the infidelity window used for fitting
 GRID_MIN, GRID_MAX, GRID_POINTS = 1e-4, 1e-1, 25
@@ -53,47 +55,45 @@ class _PulseColumn(NamedTuple):
     phase: np.ndarray
 
 
-#: ((angle, phase) key, U, U^dag) of the most recent target; see _target_matrices
+#: ((angle, phase) key, U) of the most recent target; see _target_matrix
 _last_target = None
 
 
-def _target_matrices(target: Pulse) -> tuple[np.ndarray, np.ndarray]:
-    """U and U^dag of the ideal rotation ``target``, kept for the most recent target.
+def _target_matrix(target: Pulse) -> np.ndarray:
+    """U of the ideal rotation ``target``, kept for the most recent target.
 
     ``PulseSequence.target`` makes a new Pulse on every access, so the entry
     is keyed by the target's angle and phase, a zero by its ``repr``: -0.0
     gives other signs of zeros than 0.0.  It is rebound in one assignment and
-    its matrices refuse writes, so threads that race on it at worst build the
-    same matrices twice.
+    its matrix refuses writes, so threads that race on it at worst build the
+    same matrix twice.
     """
     global _last_target
     angle, phase = target.angle, target.phase
     key = (angle if angle else repr(angle), phase if phase else repr(phase))
     entry = _last_target
     if entry is not None and entry[0] == key:
-        return entry[1:]
+        return entry[1]
     u = rotation(angle, phase)
-    u_dag = adjoint(u)
     u.setflags(write=False)
-    u_dag.setflags(write=False)
-    _last_target = (key, u, u_dag)
-    return u, u_dag
+    _last_target = (key, u)
+    return u
 
 
 def infidelity_grid(pulses, kind: str, eps, f, target: Pulse) -> np.ndarray:
     """1 - |Tr(V U^dag)|/2 at every point of the broadcast grid of (eps, f).
 
-    With W = V U^dag = a0 I + a.sigma (see :func:`~compulse.su2.residual_grid`), the
-    infidelity is evaluated as |a|^2 / (1 + |a0|), which equals 1 - |a0| for
-    unitary W but involves no cancellation, so float64 resolves it far below
-    1e-16.  U^dag comes from :func:`_target_matrices`, so a sweep point by
-    point builds it once.
+    With W = V U^dag = a0 I + a.sigma, its entries composed by
+    :func:`~compulse.su2.residual_columns`, the infidelity is evaluated as
+    |a|^2 / (1 + |a0|), which equals 1 - |a0| for unitary W but involves no
+    cancellation, so float64 resolves it far below 1e-16.  U comes from
+    :func:`_target_matrix`, so a sweep point by point builds it once.
     """
-    w = compose_grid(pulses, kind, eps, f) @ _target_matrices(target)[1]
-    a0 = np.abs(w[..., 0, 0] + w[..., 1, 1]) / 2.0
-    az = np.abs(w[..., 0, 0] - w[..., 1, 1]) / 2.0
+    w00, w10, w01, w11 = residual_columns(pulses, kind, eps, f, _target_matrix(target))
+    a0 = np.abs(w00 + w11) / 2.0
+    az = np.abs(w00 - w11) / 2.0
     # |a_x|^2 + |a_y|^2 = (|w01|^2 + |w10|^2) / 2
-    a2 = az * az + (np.abs(w[..., 0, 1]) ** 2 + np.abs(w[..., 1, 0]) ** 2) / 2.0
+    a2 = az * az + (np.abs(w01) ** 2 + np.abs(w10) ** 2) / 2.0
     return a2 / (1.0 + a0)
 
 
@@ -251,11 +251,11 @@ def _degree3_magnitudes(name: str, thetas) -> np.ndarray:
     enters the pulse loop as one :class:`_PulseColumn` against the contour,
     and the targets as an (n, 1, 2, 2) stack.  A single angle composes its
     sequence's own pulses, which is faster for one point, against the U of
-    :func:`_target_matrices`, which the two variants of a bisection step share.
+    :func:`_target_matrix`, which the two variants of a bisection step share.
     """
     seqs = [build(name, theta) for theta in thetas]
     if len(seqs) == 1:
-        pulses, u = seqs[0].pulses, _target_matrices(seqs[0].target)[0]
+        pulses, u = seqs[0].pulses, _target_matrix(seqs[0].target)
     else:
         if len({len(seq.pulses) for seq in seqs}) > 1:
             raise ValueError(f"{name} has a different pulse count at different angles of the angle grid")
@@ -468,7 +468,7 @@ def _cross_coefficient(seq, target: Pulse) -> float:
     with length: 1e-13 at 20 pulses, 2e-10 at 24, 1e-7 at 32, 7e-3 at 64.
     """
     w00, _, _, w11 = residual_columns(seq, SIMULTANEOUS, CONTOUR_EPS[:, None], CONTOUR_EPS[None, :],
-                                      _target_matrices(target)[0])
+                                      _target_matrix(target))
     a0 = (w00 + w11) / 2.0
     c22 = taylor_coefficients(taylor_coefficients(a0)[:, 2])[2]
     return float(-np.sign(a0.mean().real) * c22.real)

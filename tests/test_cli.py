@@ -295,7 +295,7 @@ class TestSweep:
         assert err.value.code == EXIT_USAGE
 
     @pytest.mark.parametrize("model", ["ore", "sim"])
-    def test_flipped_pulse_off_resonance(self, model, capsys):
+    def test_negative_angle_pulse_off_resonance(self, model, capsys):
         # a negative target angle gives a negative-angle pulse, which off-resonance models refuse
         assert run_main("sweep", "simple", "--theta", "-90", "--model", model) == EXIT_USAGE
         captured = capsys.readouterr()
@@ -420,6 +420,12 @@ class TestEntryPoint:
         assert err.count(b"\n") == 1
 
 
+def _sweep_rows(stdout: str) -> list[tuple[str, float]]:
+    """(error value as printed, infidelity) of every row of a 1-D sweep."""
+    rows = [line.split(",") for line in stdout.splitlines()[1:]]
+    return [(x, float(y)) for x, y in rows]
+
+
 def _certified(argv, stdout: str):
     """What ``compulse ARGV...`` certifies in ``stdout``: orders and verdicts
     of ``verify``, the whole output of ``synth`` and ``compare``."""
@@ -435,25 +441,34 @@ def _certified(argv, stdout: str):
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="x86 kernel settings")
 class TestAcrossKernels:
     """The certified outputs of the README commands do not depend on the BLAS
-    kernel or on numpy's SIMD level.
+    kernel or on numpy's SIMD level, and the sweep rows not on the BLAS kernel.
 
     Each setting runs the commands in fresh processes: OpenBLAS takes its
     kernel from ``OPENBLAS_CORETYPE``, and numpy leaves out the dispatch
     targets named in ``NPY_DISABLE_CPU_FEATURES``.  Exit codes, orders,
     OK/MISMATCH verdicts, ``synth`` documents, ``compare`` output and the
     stderr of refused commands must equal those of a run with neither
-    variable set.  Sweep rows and
-    ``--json`` floats move between kernels by design, so they are not
-    compared.  A setting whose CPU features the host lacks is skipped.  On a
-    numpy or OpenBLAS build without run-time dispatch the variables do
-    nothing, and the test then compares a build with itself.
+    variable set.  The README ``sweep bb1`` composes its rows column by
+    column, with no BLAS call, so under either OpenBLAS kernel they must
+    equal the default run's byte for byte.  numpy's SIMD levels round a
+    complex product otherwise, so below AVX2 the rows are compared within
+    16 n eps_mach in sqrt(infidelity), n the pulse count, twice the bound of
+    ``TestMpmathReferee`` (measured: 0.02 n eps_mach).  ``--json`` floats are
+    not compared: ``loglog_slope`` comes from ``np.polyfit``, which goes
+    through LAPACK and moves by 2 ulp under Haswell.  A setting whose CPU
+    features the host lacks is skipped.  On a numpy or OpenBLAS build
+    without run-time dispatch the variables do nothing, and the test then
+    compares a build with itself.
     """
+
+    SWEEP = ("sweep", "bb1", "--model", "ple", "--grid", "1e-4:1e-1:25")
 
     COMMANDS = (
         ("synth", "bb1"),
         ("verify", "bb1", "--order", "3"),
         ("verify", "sk3", "--order", "4", "--json"),
         ("compare", "--variants", "bb1", "sk2rot", "--theta-range", "10:180:86"),
+        SWEEP,
     )
     #: refused commands and their exit codes: an angle sk3 is not defined at, a
     #: negative-angle pulse off resonance, a series overflow, an uncorrected variant
@@ -470,6 +485,8 @@ class TestAcrossKernels:
         "numpy-below-avx2": ({"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"},
                              ("AVX512_SPR", "AVX512_ICL", "X86_V4", "X86_V3")),
     }
+    #: the settings that change numpy's SIMD level, under which sweep rows move by rounding
+    SIMD_SETTINGS = ("numpy-below-avx2",)
 
     @staticmethod
     def _run(setting):
@@ -496,4 +513,13 @@ class TestAcrossKernels:
         setting, features = self.SETTINGS[name]
         if not all(__cpu_features__.get(feature) for feature in features):
             pytest.skip(f"the host lacks one of {features}")
-        assert self._run(setting) == default
+        runs = self._run(setting)
+        if name in self.SIMD_SETTINGS:
+            at = self.COMMANDS.index(self.SWEEP)
+            assert runs[at][:2] == default[at][:2]
+            got, want = _sweep_rows(runs[at][2]), _sweep_rows(default[at][2])
+            assert [x for x, _ in got] == [x for x, _ in want]
+            bound = 16 * len(build("bb1", PI).pulses) * sys.float_info.epsilon
+            assert max(abs(math.sqrt(y) - math.sqrt(w)) for (_, y), (_, w) in zip(got, want)) <= bound
+            runs[at] = default[at]
+        assert runs == default

@@ -181,7 +181,7 @@ class TestPropagatorSeries:
         for k in range(n + 1):
             assert ms.beta.coeff(0, k).real == pytest.approx(float(oracle[k]), abs=1e-14)
 
-    def test_flipped_pulse_rejected_off_resonance(self):
+    def test_negative_angle_rejected_off_resonance(self):
         match = "off-resonance propagators are defined for nonnegative angles only"
         with pytest.raises(ValueError, match=match):
             propagator_series(Pulse(-1.0, 0.0), OFF_RESONANCE, degree=2)

@@ -23,11 +23,9 @@ from compulse.sequences import bb1, build
 from compulse.su2 import (
     CONTOUR_EPS,
     _axis_angle,
-    _chain,
     contour_sigma_norms,
     pulse_matrix,
     residual_columns,
-    residual_grid,
     taylor_coefficients,
 )
 from compulse.verify import _PulseColumn, infidelity_grid
@@ -37,6 +35,34 @@ from conftest import ID2, SX, SY, SZ, maxdiff, pauli_vec, taylor_expm
 ANGLES = st.floats(min_value=-4 * math.pi, max_value=4 * math.pi, allow_nan=False)
 PHASES = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi, allow_nan=False)
 SMALL = st.floats(min_value=-0.3, max_value=0.3, allow_nan=False)
+
+
+def _column_steps(matrices, u):
+    """Entries (w00, w10, w01, w11) of W = V U^dag, stacked along a last axis,
+    by explicit column steps over lone matrices, the first one the rightmost
+    factor: the bit reference for the pulse loop's planning and batching."""
+    u_dag = u.conj().swapaxes(-1, -2)
+    w00, w10, w01, w11 = u_dag[..., 0, 0], u_dag[..., 1, 0], u_dag[..., 0, 1], u_dag[..., 1, 1]
+    for m in matrices:
+        # [()] makes the entries of a lone 2x2 matrix numpy scalars, as a stack's entries are
+        m00, m01, m10, m11 = (m[..., i, j][()] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+        w00, w10 = m00 * w00 + m01 * w10, m10 * w00 + m11 * w10
+        w01, w11 = m00 * w01 + m01 * w11, m10 * w01 + m11 * w11
+    return np.stack((w00, w10, w01, w11), axis=-1)
+
+
+def _columns_of(pulses, kind, eps, f, u=su2.IDENTITY):
+    """The entries of :func:`residual_columns` stacked along a last axis."""
+    return np.stack(residual_columns(pulses, kind, eps, f, u), axis=-1)
+
+
+def _matmul_chain(matrices, u):
+    """W = V U^dag multiplied with ``@``, the first matrix the rightmost
+    factor: the reference that bounds the column chain."""
+    out = None
+    for m in matrices:
+        out = m if out is None else m @ out
+    return out @ u.conj().swapaxes(-1, -2)
 
 
 class TestRotation:
@@ -174,7 +200,7 @@ class TestPropagator:
                 )
                 assert np.array_equal(grid[i, j], propagator(p, model))
 
-    def test_flipped_pulse_rejected_off_resonance(self):
+    def test_negative_angle_rejected_off_resonance(self):
         p = Pulse(-1.0, 0.0)
         propagator(p, ErrorModel.pulse_length(0.1))  # fine
         match = "off-resonance propagators are defined for nonnegative angles only"
@@ -246,6 +272,14 @@ class TestCompose:
         assert g1 > 1e-5  # a genuine first-order defect
         assert g1 / g2 == pytest.approx(2.0, rel=0.02)
 
+    def test_array_fractions_give_one_matrix_per_point(self):
+        seq = build("sk2rot", 2.0)
+        eps = np.array([[0.01, -0.02, 0.05]])
+        got = compose(seq, ErrorModel.pulse_length(eps))
+        assert got.shape == (1, 3, 2, 2)
+        for j, e in enumerate(eps[0]):
+            assert maxdiff(got[0, j], compose(seq, ErrorModel.pulse_length(float(e)))) < 1e-15
+
     def test_one_propagator_call_per_pulse(self, monkeypatch):
         """``compose`` builds its product from one ``propagator`` call per pulse.
 
@@ -268,8 +302,11 @@ class TestCompose:
             ("simultaneous", ErrorModel.simultaneous(0.05, 0.02)),
         ):
             seq = build(name, math.pi)
+            columns = _columns_of(seq, model.kind, model.epsilon, model.f)
             calls.clear()
-            assert np.array_equal(compose(seq, model), _chain(propagator(p, model) for p in seq))
+            got = compose(seq, model)
+            assert got.shape == (2, 2)
+            assert got.tobytes() == columns[[0, 2, 1, 3]].tobytes()  # w00, w01, w10, w11
             assert calls == list(seq.pulses)
 
 
@@ -422,11 +459,11 @@ class TestPulseLoop:
         assert len({p.angle for p in seq}) < len(seq.pulses)
         eps, f = self._fractions(kind, self.GRIDS[grid])
         u = su2.rotation(seq.target.angle, seq.target.phase)
-        got = residual_grid(seq.pulses, kind, eps, f, u)
-        want = _chain(pulse_matrix(p, kind, eps, f) for p in seq) @ u.conj().T
-        assert np.array_equal(got, want)
-        lone = _chain(self._lone_pulse(p, kind, eps, f) for p in seq) @ u.conj().T
-        assert np.array_equal(got, lone)
+        got = _columns_of(seq.pulses, kind, eps, f, u)
+        want = _column_steps((pulse_matrix(p, kind, eps, f) for p in seq), u)
+        assert got.tobytes() == want.tobytes()
+        lone = _column_steps((self._lone_pulse(p, kind, eps, f) for p in seq), u)
+        assert got.tobytes() == lone.tobytes()
 
     @pytest.mark.parametrize("eps", [np.geomspace(1e-4, 1e-1, 7), CONTOUR_EPS], ids=["real", "contour"])
     def test_pulse_columns_with_repeated_angles(self, eps):
@@ -437,11 +474,11 @@ class TestPulseLoop:
         assert len({c.angle.tobytes() for c in columns}) < len(columns)
         # 17 columns: one batch on the real grid, batches of 8, 8 and 1 on the contour
         u = np.stack([su2.rotation(seq.target.angle, seq.target.phase) for seq in seqs])[:, None]
-        got = residual_grid(columns, "ple", eps, 0.0, u)
-        want = _chain(pulse_matrix(c, "ple", eps, 0.0) for c in columns) @ np.swapaxes(u.conj(), -1, -2)
-        assert np.array_equal(got, want)
-        lone = _chain(self._lone_pulse(c, "ple", eps, 0.0) for c in columns) @ np.swapaxes(u.conj(), -1, -2)
-        assert np.array_equal(got, lone)
+        got = _columns_of(columns, "ple", eps, 0.0, u)
+        want = _column_steps((pulse_matrix(c, "ple", eps, 0.0) for c in columns), u)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        lone = _column_steps((self._lone_pulse(c, "ple", eps, 0.0) for c in columns), u)
+        assert got.tobytes() == lone.tobytes()
 
     @pytest.fixture
     def phase_part_calls(self, monkeypatch):
@@ -453,13 +490,13 @@ class TestPulseLoop:
     @pytest.mark.parametrize("kind", ["ple", "ore", "sim"])
     def test_scalar_point_is_one_batch(self, kind, phase_part_calls):
         seq = build("sk3", math.pi)
-        residual_grid(seq.pulses, kind, 0.013, 0.007, su2.IDENTITY)
+        residual_columns(seq.pulses, kind, 0.013, 0.007, su2.IDENTITY)
         assert phase_part_calls == [(24,)]
 
     def test_contour_batches(self, phase_part_calls):
         # or-second-xz's 35 pulses against 32 nodes: full batches, then the rest
         seq = build("or-second-xz", math.pi)
-        residual_grid(seq.pulses, "ore", 0.0, CONTOUR_EPS, su2.IDENTITY)
+        residual_columns(seq.pulses, "ore", 0.0, CONTOUR_EPS, su2.IDENTITY)
         size = su2._BATCH_POINTS // len(CONTOUR_EPS)
         assert size < len(seq.pulses)
         full, rest = divmod(len(seq.pulses), size)
@@ -470,23 +507,24 @@ class TestPulseLoop:
         seqs = [build("sk2rot", theta) for theta in np.radians(np.linspace(140.0, 180.0, 24))]
         table = np.array([[(p.angle, p.phase) for p in seq] for seq in seqs])
         columns = [_PulseColumn(table[:, j, 0, None], table[:, j, 1, None]) for j in range(table.shape[1])]
-        residual_grid(columns, "ple", CONTOUR_EPS, 0.0, su2.IDENTITY)
-        assert phase_part_calls == [(24, 32)] * len(columns)
+        residual_columns(columns, "ple", CONTOUR_EPS, 0.0, su2.IDENTITY)
+        assert phase_part_calls == [(1, 24, 32)] * len(columns)
 
     def test_signed_zero_angles_keep_their_own_matrices(self):
         pulses = [Pulse(0.0, 0.4), Pulse(-0.0, 0.4)]
         for kind in ("ple", "ore", "sim"):
-            got = list(su2._pulse_matrices(pulses, kind, 0.01, 0.02))
+            got = [m for batch in su2._pulse_matrices(pulses, kind, 0.01, 0.02) for m in batch]
+            assert len(got) == len(pulses)
             for p, m in zip(pulses, got):
                 assert m.tobytes() == pulse_matrix(p, kind, 0.01, 0.02).tobytes()
 
     @pytest.mark.parametrize("kind", ["ore", "sim"])
-    def test_flipped_pulse_after_same_angle_rejected(self, kind):
+    def test_negative_angle_after_same_angle_rejected(self, kind):
         pulses = [Pulse(1.0, 0.3), Pulse(-1.0, 0.0)]
         assert pulses[1].angle == -pulses[0].angle < 0.0
         with pytest.raises(ValueError, match="nonnegative angles only"):
-            residual_grid(pulses, kind, 0.01, 0.02, su2.IDENTITY)
-        residual_grid(pulses, "ple", 0.01, 0.02, su2.IDENTITY)  # fine
+            residual_columns(pulses, kind, 0.01, 0.02, su2.IDENTITY)
+        residual_columns(pulses, "ple", 0.01, 0.02, su2.IDENTITY)  # fine
 
     @pytest.mark.parametrize("kind", ["xyz", "PLE", "sim ", ""])
     def test_unknown_kind_rejected(self, kind):
@@ -498,7 +536,7 @@ class TestPulseLoop:
         with pytest.raises(ValueError, match=match):
             pulse_matrix(corpse.pulses[0], kind, 0.1, 0.0)
         with pytest.raises(ValueError, match=match):
-            residual_grid([], kind, 0.0, 0.01, su2.IDENTITY)
+            residual_columns([], kind, 0.0, 0.01, su2.IDENTITY)
         with pytest.raises(ValueError, match=match):
             series.propagator_series(corpse.pulses[0], kind, 2)
         with pytest.raises(ValueError, match=match):
@@ -512,8 +550,8 @@ class TestPulseLoop:
         seq = build("or-second-xz", math.pi)
         for kind in ("ple", "ore", "sim"):
             eps, f = self._fractions(kind, grid)
-            got = residual_grid(seq.pulses, kind, eps, f, su2.IDENTITY)
-            lone = _chain(self._lone_pulse(p, kind, eps, f) for p in seq)
+            got = _columns_of(seq.pulses, kind, eps, f)
+            lone = _column_steps((self._lone_pulse(p, kind, eps, f) for p in seq), su2.IDENTITY)
             assert got.tobytes() == lone.tobytes()
 
 
@@ -527,40 +565,42 @@ class TestPlanMemo:
     @staticmethod
     def _cold(pulses, kind, eps, f):
         su2._last_plan = None
-        return residual_grid(pulses, kind, eps, f, su2.IDENTITY)
+        return _columns_of(pulses, kind, eps, f)
 
     def test_mutated_list_gives_new_result(self):
         pulses = list(build("bb1", math.pi).pulses)
-        first = residual_grid(pulses, "ple", 0.013, 0.0, su2.IDENTITY)
+        first = _columns_of(pulses, "ple", 0.013, 0.0)
         pulses[1] = Pulse(pulses[1].angle, pulses[1].phase + 0.5)
         pulses.append(Pulse(0.7, 1.1))
-        got = residual_grid(pulses, "ple", 0.013, 0.0, su2.IDENTITY)
+        got = _columns_of(pulses, "ple", 0.013, 0.0)
         assert not np.array_equal(got, first)
-        assert got.tobytes() == _chain(pulse_matrix(p, "ple", 0.013, 0.0) for p in pulses).tobytes()
+        want = _column_steps((pulse_matrix(p, "ple", 0.013, 0.0) for p in pulses), su2.IDENTITY)
+        assert got.tobytes() == want.tobytes()
         assert su2._last_plan is None
 
     def test_mutated_column_list_gives_new_result(self):
         columns = [_PulseColumn(np.full((3, 1), 1.0), np.full((3, 1), 0.2)) for _ in range(4)]
-        first = residual_grid(columns, "ple", CONTOUR_EPS, 0.0, su2.IDENTITY)
+        first = _columns_of(columns, "ple", CONTOUR_EPS, 0.0)
         columns[2].phase[:] = 1.4
         columns[3].angle[1] = 2.5
-        got = residual_grid(columns, "ple", CONTOUR_EPS, 0.0, su2.IDENTITY)
+        got = _columns_of(columns, "ple", CONTOUR_EPS, 0.0)
         assert not np.array_equal(got, first)
-        assert got.tobytes() == _chain(pulse_matrix(c, "ple", CONTOUR_EPS, 0.0) for c in columns).tobytes()
+        want = _column_steps((pulse_matrix(c, "ple", CONTOUR_EPS, 0.0) for c in columns), su2.IDENTITY)
+        assert got.tobytes() == want.tobytes()
 
     def test_tuple_of_columns_not_kept(self):
         columns = tuple(_PulseColumn(np.full((3, 1), 1.0), np.full((3, 1), 0.2)) for _ in range(2))
-        residual_grid(columns, "ple", 0.01, 0.0, su2.IDENTITY)
+        residual_columns(columns, "ple", 0.01, 0.0, su2.IDENTITY)
         assert su2._last_plan is None
 
-    def test_flipped_pulse_refused_after_ple_hit(self):
+    def test_negative_angle_refused_after_ple_hit(self):
         pulses = (Pulse(1.0, 0.3), Pulse(-1.0, 0.0))
-        residual_grid(pulses, "ple", 0.01, 0.0, su2.IDENTITY)
-        residual_grid(pulses, "ple", 0.02, 0.0, su2.IDENTITY)
+        residual_columns(pulses, "ple", 0.01, 0.0, su2.IDENTITY)
+        residual_columns(pulses, "ple", 0.02, 0.0, su2.IDENTITY)
         assert su2._last_plan[0] is pulses
         for kind in ("ore", "sim"):
             with pytest.raises(ValueError, match="nonnegative angles only"):
-                residual_grid(pulses, kind, 0.01, 0.02, su2.IDENTITY)
+                residual_columns(pulses, kind, 0.01, 0.02, su2.IDENTITY)
 
     @pytest.mark.parametrize("grid", ["scalar", "100 points", "contour"])
     def test_interleaved_tuples_match_cold_calls(self, grid):
@@ -569,12 +609,12 @@ class TestPlanMemo:
             eps, f = TestPulseLoop._fractions(kind, TestPulseLoop.GRIDS[grid])
             cold = {id(p): self._cold(p, kind, eps, f).tobytes() for p in (a, b)}
             for pulses in (a, a, b, a, b, b):
-                assert residual_grid(pulses, kind, eps, f, su2.IDENTITY).tobytes() == cold[id(pulses)]
+                assert _columns_of(pulses, kind, eps, f).tobytes() == cold[id(pulses)]
                 assert su2._last_plan[0] is pulses
 
     def test_kept_arrays_refuse_writes(self):
         pulses = build("sk3", math.pi).pulses
-        residual_grid(pulses, "sim", 0.013, 0.007, su2.IDENTITY)
+        residual_columns(pulses, "sim", 0.013, 0.007, su2.IDENTITY)
         kept, plan = su2._last_plan
         assert kept is pulses
         for array in (plan.angles, plan.index, plan.trig):
@@ -584,8 +624,8 @@ class TestPlanMemo:
 
 def _matrix_readout(pulses, u):
     """Sigma norms of degree 0..3 read off the matrices W = V U^dag of
-    :func:`residual_grid`, and max|W|: the reference for the column chain."""
-    w = residual_grid(pulses, "ple", CONTOUR_EPS, 0.0, u)
+    :func:`_matmul_chain`, and max|W|: the reference for the column chain."""
+    w = _matmul_chain((pulse_matrix(p, "ple", CONTOUR_EPS, 0.0) for p in pulses), u)
     w01, w10 = w[..., 0, 1], w[..., 1, 0]
     sigma = np.stack([w01 + w10, 1j * (w01 - w10), w[..., 0, 0] - w[..., 1, 1]]) / 2.0
     return np.sqrt((np.abs(taylor_coefficients(sigma)) ** 2).sum(axis=0)), np.abs(w).max()
@@ -635,7 +675,7 @@ class TestContourColumns:
         seq = build(name, math.pi)
         u = su2.rotation(seq.target.angle, seq.target.phase)
         eps, f = CONTOUR_EPS[:, None], CONTOUR_EPS[None, :]
-        w = residual_grid(seq.pulses, "sim", eps, f, u)
+        w = _matmul_chain((pulse_matrix(p, "sim", eps, f) for p in seq.pulses), u)
         got = np.stack(residual_columns(seq.pulses, "sim", eps, f, u), axis=-1)
         want = w.reshape(w.shape[:-2] + (4,))[..., [0, 2, 1, 3]]  # w00, w10, w01, w11
         assert got.shape == want.shape == (32, 32, 4)

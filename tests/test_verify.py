@@ -369,7 +369,7 @@ class TestBatchedMagnitudes:
 
 
 class TestTargetMemo:
-    """U and U^dag of the most recent target are kept, keyed by its value."""
+    """U of the most recent target is kept, keyed by its value."""
 
     @pytest.fixture(autouse=True)
     def cold(self, monkeypatch):
@@ -389,9 +389,8 @@ class TestTargetMemo:
         kept = compulse.verify._last_target
         infidelity_ld(seq.pulses, "ple", 0.02, 0.0, seq.target)
         assert compulse.verify._last_target is kept
-        u, u_dag = kept[1:]
-        assert np.array_equal(u, rotation(PI, 0.0))
-        assert np.array_equal(u_dag, rotation(PI, 0.0).conj().T)
+        assert len(kept) == 2
+        assert np.array_equal(kept[1], rotation(PI, 0.0))
 
     def test_signed_zero_targets_kept_apart(self):
         # the matrices of 0.0 and -0.0 differ in the signs of zeros
@@ -409,7 +408,7 @@ class TestTargetMemo:
                 got = infidelity_grid(seqs[i].pulses, kind, eps, 0.007, seqs[i].target)
                 assert got.tobytes() == cold[i]
 
-    def test_flipped_pulse_refused_after_ple_hit(self):
+    def test_negative_angle_refused_after_ple_hit(self):
         seq = build("simple", -PI / 2)
         assert seq.pulses[0].angle == -PI / 2
         infidelity_ld(seq.pulses, "ple", 0.01, 0.0, seq.target)
@@ -707,9 +706,13 @@ class TestFidelitySurface:
         f = np.array([0.0, 1e-3, 5e-2, -7e-3])[None, :]
         table = infidelity_grid(seq.pulses, "sim", eps, f, seq.target)
         assert table.shape == (3, 4)
+        # within rounding, not bit for bit: a scalar point composes on numpy
+        # scalars, whose complex product is not fused, a grid on SIMD arrays
+        bound = 2 * len(seq.pulses) * np.finfo(float).eps
         for i, e in enumerate(eps[:, 0]):
             for j, x in enumerate(f[0]):
-                assert table[i, j] == infidelity_ld(seq.pulses, "sim", e, x, seq.target)
+                point = infidelity_ld(seq.pulses, "sim", e, x, seq.target)
+                assert abs(math.sqrt(table[i, j]) - math.sqrt(point)) <= bound
 
     def test_zero_error_is_exact(self):
         seq = build("simultaneous", PI)

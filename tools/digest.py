@@ -5,6 +5,17 @@ Run it from any directory on two checkouts and compare the lines:
     python3 tools/digest.py            # every family
     python3 tools/digest.py --no-cli   # skip the CLI families (fresh processes)
 
+Where bits move by design, compare the values instead:
+
+    python3 tools/digest.py --dump DIR      # on the first checkout
+    python3 tools/digest.py --against DIR   # on the second
+
+``--dump`` writes each family's numeric outputs, in hashing order, to
+``DIR/<family>.npy`` as one complex array: every array flattened, every
+number, and every number written in a text (CLI output, refusal messages).
+``--against`` reads them back and prints, per family, how many values
+differ, and the largest absolute and relative difference.
+
 It imports compulse from ``src/`` of the checkout it lives in and reads only
 the package's public names, ``compulse.su2`` and ``compulse.cli.MAX_DEGREE``.
 The first line is the configuration the bits depend on: the numpy version,
@@ -25,8 +36,9 @@ equal digests mean equal bits.  The families:
   tuple with a negative-angle pulse under ple, then ore and sim (refused),
   then ple again, so that a kept plan or target cannot change a bit or a
   refusal;
-- ``su2``: ``pulse_matrix``, ``propagator``, ``compose`` and ``residual_grid``
-  of the same sequences;
+- ``su2``: ``pulse_matrix``, ``propagator``, ``compose`` and
+  ``residual_columns``, its four entries stacked along a last axis, of the
+  same sequences;
 - ``contour_sigma_norms``: 32 and 64 nodes, the same sequences;
 - ``crossover_scan``: the README range, 45 seeded random angle grids, and
   40 seeded grids that bracket the bb1/sk2rot crossover: 20 of 24 points
@@ -67,6 +79,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -146,22 +159,32 @@ REFUSED_COMMANDS = (
 )
 
 
-class Digest:
-    """SHA-256 over a stream of arrays, floats, strings and refused calls."""
+#: a decimal number inside a text
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
-    def __init__(self) -> None:
-        self.sha, self.count = hashlib.sha256(), 0
+
+class Digest:
+    """SHA-256 over a stream of arrays, floats, strings and refused calls,
+    named after its family; ``values`` collects the numbers among them."""
+
+    def __init__(self, name: str) -> None:
+        self.name, self.sha, self.count, self.values = name, hashlib.sha256(), 0, []
 
     def add(self, value) -> None:
         self.count += 1
         if isinstance(value, (bytes, str)):
-            self.sha.update(value.encode() if isinstance(value, str) else value)
+            text = value.encode() if isinstance(value, str) else value
+            self.sha.update(text)
+            self.values.extend(float(number) for number in NUMBER.findall(text))
         elif isinstance(value, (float, int, bool, type(None))):
             self.sha.update(repr(value).encode())
+            if value is not None:
+                self.values.append(float(value))
         else:
             a = np.ascontiguousarray(value)
             self.sha.update(f"{a.dtype.str}{a.shape}".encode())
             self.sha.update(a.tobytes())
+            self.values.extend(a.ravel().astype(complex).tolist())
 
     def call(self, fn, *args) -> None:
         """Add ``fn(*args)``, or the message of the ValueError it raises."""
@@ -170,8 +193,26 @@ class Digest:
         except ValueError as exc:
             self.add(f"ValueError: {exc}")
 
-    def line(self, name: str) -> str:
-        return f"{name:22s} {self.sha.hexdigest()}  ({self.count} outputs)"
+    def line(self) -> str:
+        return f"{self.name:22s} {self.sha.hexdigest()}  ({self.count} outputs)"
+
+    def dump(self, folder: Path) -> None:
+        np.save(folder / f"{self.name}.npy", np.array(self.values, dtype=complex))
+
+    def against(self, folder: Path) -> str:
+        """How far ``values`` are from those dumped in ``folder``."""
+        path = folder / f"{self.name}.npy"
+        if not path.exists():
+            return f"{self.name:22s} no dump"
+        new, old = np.array(self.values, dtype=complex), np.load(path)
+        if new.shape != old.shape:
+            return f"{self.name:22s} {len(new)} values against {len(old)}: not comparable"
+        differ = ~((new == old) | (np.isnan(new) & np.isnan(old)))
+        gap = np.abs(new - old)[differ]
+        scale = np.abs(old)[differ]
+        rel = gap[scale > 0.0] / scale[scale > 0.0]
+        return (f"{self.name:22s} {int(differ.sum())} of {len(new)} values differ, "
+                f"max abs {gap.max(initial=0.0):.3g}, max rel {rel.max(initial=0.0):.3g}")
 
 
 def _sequences(thetas=THETAS):
@@ -186,15 +227,19 @@ def _sequences(thetas=THETAS):
     return out
 
 
-def grid_families() -> list[str]:
-    infid, mats, norms = Digest(), Digest(), Digest()
+def _residual_entries(pulses, kind, eps, f, u) -> np.ndarray:
+    return np.stack(su2.residual_columns(pulses, kind, eps, f, u), axis=-1)
+
+
+def grid_families() -> list[Digest]:
+    infid, mats, norms = Digest("infidelity_grid"), Digest("su2"), Digest("contour_sigma_norms")
     for _, seq in _sequences():
         u = su2.rotation(seq.target.angle, seq.target.phase)
         for kind in KINDS:
             for grid in GRIDS.values():
                 eps, f = grid(kind)
                 infid.call(infidelity_grid, seq, kind, eps, f, seq.target)
-                mats.call(su2.residual_grid, seq.pulses, kind, eps, f, u)
+                mats.call(_residual_entries, seq.pulses, kind, eps, f, u)
             mats.call(su2.pulse_matrix, seq.pulses[0], kind, 0.013, 0.007)
             model = {"ple": ErrorModel.pulse_length(0.013), "ore": ErrorModel.off_resonance(0.007),
                      "sim": ErrorModel.simultaneous(0.013, 0.007)}[kind]
@@ -202,11 +247,11 @@ def grid_families() -> list[str]:
             mats.call(compose, seq, model)
         for points in (32, 64):
             norms.call(su2.contour_sigma_norms, seq.pulses, u, points)
-    return [infid.line("infidelity_grid"), repeat_family(), mats.line("su2"), norms.line("contour_sigma_norms")]
+    return [infid, repeat_family(), mats, norms]
 
 
-def repeat_family() -> str:
-    d = Digest()
+def repeat_family() -> Digest:
+    d = Digest("infidelity_repeats")
     seqs = [seq for _, seq in _sequences()]
     for kind in KINDS:
         for eps, f in (GRIDS["scalar"](kind), GRIDS["1-D"](kind)):
@@ -219,7 +264,7 @@ def repeat_family() -> str:
     negative = build("simple", -math.pi / 2)
     for kind in ("ple", "ore", "sim", "ple"):
         d.call(infidelity_grid, negative.pulses, kind, 0.013, 0.007, negative.target)
-    return d.line("infidelity_repeats")
+    return d
 
 
 def _scan(d: Digest, angles: Digest, names, thetas) -> float | None:
@@ -239,8 +284,8 @@ def _scan(d: Digest, angles: Digest, names, thetas) -> float | None:
     return result.crossover_theta
 
 
-def crossover_family() -> list[str]:
-    d, angles = Digest(), Digest()
+def crossover_family() -> list:
+    d, angles = Digest("crossover_scan"), Digest("crossover_angles")
     readme = _scan(d, angles, ("bb1", "sk2rot"), np.radians(np.linspace(10.0, 180.0, 86)))
     rng = np.random.default_rng(20071108)
     pairs = (("bb1", "sk2rot"), ("sk2", "sk2rot"), ("sk2", "bb1"))
@@ -254,11 +299,11 @@ def crossover_family() -> list[str]:
         compare = np.radians(np.linspace(rng.uniform(158.0, 162.0), rng.uniform(174.0, 178.0), 9))
         for thetas in (scan, compare):
             _scan(d, angles, ("bb1", "sk2rot"), thetas[::-1] if i % 2 else thetas)
-    return [d.line("crossover_scan"), angles.line("crossover_angles"), f"{'readme crossover':22s} {readme!r}"]
+    return [d, angles, f"{'readme crossover':22s} {readme!r}"]
 
 
-def fit_family() -> list[str]:
-    d = Digest()
+def fit_family() -> list[Digest]:
+    d = Digest("fits")
     for name, seq in _sequences():
         for axis in ("eps", "f"):
             try:
@@ -280,15 +325,15 @@ def fit_family() -> list[str]:
             for value in (s.eps_grid, s.f_grid, s.infidelity, s.coeff_eps, s.eps_degree, s.coeff_f, s.f_degree,
                           s.coeff_cross):
                 d.add(value)
-    return [d.line("fits")]
+    return [d]
 
 
 def _built(build_fn, *args) -> str:
     return repr(build_fn(*args))
 
 
-def sequence_family() -> list[str]:
-    d = Digest()
+def sequence_family() -> list[Digest]:
+    d = Digest("sequences")
     for name in (*CATALOG, "no-such-sequence"):
         for theta in BUILD_THETAS:
             d.call(_built, build, name, theta)
@@ -303,7 +348,7 @@ def sequence_family() -> list[str]:
             d.call(_built, ple_pure_error, kind, *PHASES[:count])
     d.call(_built, ple_pure_error, "w7", 0.1)
     d.call(_built, or_pure_error, "q1", 0.1)
-    return [d.line("sequences")]
+    return [d]
 
 
 def _coefficients(s) -> np.ndarray:
@@ -311,8 +356,8 @@ def _coefficients(s) -> np.ndarray:
     return np.array([s.coeff(i, j) for i in range(s.degree + 1) for j in range(s.degree + 1 - i)])
 
 
-def series_family() -> list[str]:
-    d = Digest()
+def series_family() -> list[Digest]:
+    d = Digest("series")
     runs = []
     for name, seq in _sequences(BUILD_THETAS):
         runs.append((seq, seq.model_kind))
@@ -330,7 +375,7 @@ def series_family() -> list[str]:
             d.add(_coefficients(a.alpha))
             d.add(_coefficients(a.beta))
             d.call(lambda: _coefficients(fidelity_series(a)))
-    return [d.line("series")]
+    return [d]
 
 
 def _cli(argv, cwd: str) -> subprocess.CompletedProcess:
@@ -339,8 +384,8 @@ def _cli(argv, cwd: str) -> subprocess.CompletedProcess:
                           env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True)
 
 
-def cli_family() -> list[str]:
-    d = Digest()
+def cli_family() -> list[Digest]:
+    d = Digest("cli")
     with tempfile.TemporaryDirectory() as tmp:
         for argv in README_COMMANDS:
             run = _cli(argv, tmp)
@@ -350,7 +395,7 @@ def cli_family() -> list[str]:
         for name in sorted(os.listdir(tmp)):
             d.add(name)
             d.add(Path(tmp, name).read_bytes())
-    return [d.line("cli")]
+    return [d]
 
 
 def _refused_documents() -> dict[str, str]:
@@ -377,8 +422,8 @@ def _refused_documents() -> dict[str, str]:
             "angle-nan.json": angle(float("nan"))}
 
 
-def cli_refusal_family() -> list[str]:
-    d = Digest()
+def cli_refusal_family() -> list[Digest]:
+    d = Digest("cli_refusals")
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in _refused_documents().items():
             Path(tmp, name).write_text(text, encoding="utf-8")
@@ -391,7 +436,7 @@ def cli_refusal_family() -> list[str]:
             d.add(run.returncode)
             d.add(run.stdout)
             d.add(stderr)
-    return [d.line("cli_refusals")]
+    return [d]
 
 
 def _openblas_core() -> str:
@@ -419,10 +464,21 @@ def configuration_line() -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--no-cli", action="store_true", help="skip the CLI families")
+    parser.add_argument("--dump", type=Path, metavar="DIR", help="write each family's numeric outputs to DIR")
+    parser.add_argument("--against", type=Path, metavar="DIR",
+                        help="compare each family's numeric outputs with those dumped in DIR")
     args = parser.parse_args()
-    lines = [configuration_line()] + grid_families() + crossover_family() + fit_family() + sequence_family() + series_family()
+    families = grid_families() + crossover_family() + fit_family() + sequence_family() + series_family()
     if not args.no_cli:
-        lines += cli_family() + cli_refusal_family()
+        families += cli_family() + cli_refusal_family()
+    digests = [family for family in families if isinstance(family, Digest)]
+    lines = [configuration_line()] + [family if isinstance(family, str) else family.line() for family in families]
+    if args.dump is not None:
+        args.dump.mkdir(parents=True, exist_ok=True)
+        for digest in digests:
+            digest.dump(args.dump)
+    if args.against is not None:
+        lines += [digest.against(args.against) for digest in digests]
     print("\n".join(lines))
 
 
