@@ -34,14 +34,14 @@ points, so a scalar point builds its whole sequence at once and a large grid
 goes pulse by pulse.  Each matrix is still the one a lone pulse gives, bit
 for bit, and W does not depend on the batching.  A scalar point and the same
 point inside a grid agree within rounding, not bit for bit: a scalar point
-steps on numpy scalars, whose complex product is not fused, while a grid
-steps on arrays, whose SIMD complex product may be.  What the loop reads of
-the pulse list alone (the distinct angles, each pulse's place among them,
-the cosine and sine of every phase, whether any angle is negative) is its
-plan, and the plan of the most recent tuple of :class:`Pulse` is kept,
-keyed by the tuple's identity, so a sweep that passes one tuple point by
-point plans it once.  Lists are planned on every call, since they may change
-between calls.
+steps on Python complex numbers, whose product is not fused and equals
+numpy's scalar product bit for bit, while a grid steps on arrays, whose SIMD
+complex product may be fused.  What the loop reads of the pulse list alone
+(the distinct angles, each pulse's place among them, the cosine and sine of
+every phase, whether any angle is negative) is its plan, and the plan of the
+most recent tuple of :class:`Pulse` is kept, keyed by the tuple's identity,
+so a sweep that passes one tuple point by point plans it once.  Lists are
+planned on every call, since they may change between calls.
 
 All matrices are plain complex numpy arrays, and the small value types are
 frozen dataclasses.  Every function is pure except for that one kept plan,
@@ -409,7 +409,8 @@ def residual_columns(pulses, kind: str, eps, f, u: np.ndarray) -> tuple:
     anything with the fields :func:`pulse_matrix` reads, which under "ple"
     are ``angle`` and ``phase`` only, so they may be columns of several
     sequences.  U is the ideal target matrix, or a stack of them that
-    broadcasts against V; each entry has the broadcast shape.  The pulse
+    broadcasts against V; each entry has the broadcast shape, and is a
+    Python complex number at a scalar point and a single U.  The pulse
     matrices come from :func:`_pulse_matrices` and are composed by
     :func:`_columns`, so W does not depend on the batching.  An empty pulse
     list raises ValueError.
@@ -423,23 +424,32 @@ def _columns(batches, u: np.ndarray) -> tuple:
 
     ``batches`` yields stacks of pulse matrices along a leading pulse axis.
     Each column of W starts as a column of U^dag and takes one matrix-vector
-    step per pulse, written out on the pulse's entry arrays, which the
-    inner ``zip`` takes off the stack: numpy scalars for a scalar point,
-    whose arithmetic is far cheaper than that of 0-d arrays.  This is the
-    only place that multiplies pulse matrices.  An empty ``batches`` raises
-    ValueError.
+    step per pulse, written out on the pulse's entries (see :func:`_entries`):
+    Python complex numbers for a scalar point and for a single U, whose
+    arithmetic costs a fraction of numpy's scalar dispatch and whose product
+    rounds as numpy's scalar one does, bit for bit; array views for a grid,
+    a contour or a stack of targets.  This is the only place that multiplies
+    pulse matrices.  An empty ``batches`` raises ValueError.
     """
-    u_dag = adjoint(u)
-    w00, w10, w01, w11 = u_dag[..., 0, 0], u_dag[..., 1, 0], u_dag[..., 0, 1], u_dag[..., 1, 1]
+    (w00, w01, w10, w11), = _entries(adjoint(u)[None])
     composed = False
     for m in batches:
-        for m00, m01, m10, m11 in zip(m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]):
+        for m00, m01, m10, m11 in _entries(m):
             w00, w10 = m00 * w00 + m01 * w10, m10 * w00 + m11 * w10
             w01, w11 = m00 * w01 + m01 * w11, m10 * w01 + m11 * w11
             composed = True
     if not composed:
         raise ValueError("cannot compose an empty pulse sequence")
     return w00, w10, w01, w11
+
+
+def _entries(m: np.ndarray):
+    """The entries (m00, m01, m10, m11) of each matrix of a stack along its
+    leading axis: Python complex numbers for a stack of lone 2x2 matrices,
+    array views otherwise."""
+    if m.ndim == 3:
+        return m.reshape(-1, 4).tolist()
+    return zip(m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1])
 
 
 def contour_sigma_norms(pulses, u: np.ndarray, points: int = CONTOUR_POINTS) -> np.ndarray:

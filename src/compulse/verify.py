@@ -87,14 +87,17 @@ def infidelity_grid(pulses, kind: str, eps, f, target: Pulse) -> np.ndarray:
     :func:`~compulse.su2.residual_columns`, the infidelity is evaluated as
     |a|^2 / (1 + |a0|), which equals 1 - |a0| for unitary W but involves no
     cancellation, so float64 resolves it far below 1e-16.  U comes from
-    :func:`_target_matrix`, so a sweep point by point builds it once.
+    :func:`_target_matrix`, so a sweep point by point builds it once.  At a
+    scalar point the entries are Python complex numbers, whose builtin
+    ``abs`` is libm's ``hypot``, and the result is still a numpy float.
     """
     w00, w10, w01, w11 = residual_columns(pulses, kind, eps, f, _target_matrix(target))
-    a0 = np.abs(w00 + w11) / 2.0
-    az = np.abs(w00 - w11) / 2.0
+    a0 = abs(w00 + w11) / 2.0
+    az = abs(w00 - w11) / 2.0
+    r01, r10 = abs(w01), abs(w10)
     # |a_x|^2 + |a_y|^2 = (|w01|^2 + |w10|^2) / 2
-    a2 = az * az + (np.abs(w01) ** 2 + np.abs(w10) ** 2) / 2.0
-    return a2 / (1.0 + a0)
+    a2 = az * az + (r01 * r01 + r10 * r10) / 2.0
+    return np.divide(a2, 1.0 + a0)
 
 
 def infidelity_ld(pulses, kind: str, eps, f, target: Pulse) -> float:

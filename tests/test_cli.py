@@ -451,9 +451,11 @@ class TestAcrossKernels:
     variable set.  The README ``sweep bb1`` composes its rows column by
     column, with no BLAS call, so under either OpenBLAS kernel they must
     equal the default run's byte for byte.  numpy's SIMD levels round a
-    complex product otherwise, so below AVX2 the rows are compared within
-    16 n eps_mach in sqrt(infidelity), n the pulse count, twice the bound of
-    ``TestMpmathReferee`` (measured: 0.02 n eps_mach).  ``--json`` floats are
+    complex product otherwise, so with numpy at AVX2 (``X86_V3``) and at its
+    baseline (everything from ``X86_V3`` up disabled) the rows are compared
+    within 16 n eps_mach in sqrt(infidelity), n the pulse count, twice the
+    bound of ``TestMpmathReferee`` (measured at the baseline: 0.02 n
+    eps_mach; at AVX2 no row moves on an AVX-512 host).  ``--json`` floats are
     not compared: ``loglog_slope`` comes from ``np.polyfit``, which goes
     through LAPACK and moves by 2 ulp under Haswell.  A setting whose CPU
     features the host lacks is skipped.  On a numpy or OpenBLAS build
@@ -482,11 +484,13 @@ class TestAcrossKernels:
     SETTINGS = {
         "openblas-haswell": ({"OPENBLAS_CORETYPE": "Haswell"}, ("AVX2", "FMA3")),
         "openblas-sandybridge": ({"OPENBLAS_CORETYPE": "Sandybridge"}, ("AVX",)),
-        "numpy-below-avx2": ({"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"},
-                             ("AVX512_SPR", "AVX512_ICL", "X86_V4", "X86_V3")),
+        "numpy-avx2": ({"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
+                       ("AVX512_SPR", "AVX512_ICL", "X86_V4", "X86_V3")),
+        "numpy-baseline": ({"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"},
+                           ("AVX512_SPR", "AVX512_ICL", "X86_V4", "X86_V3")),
     }
     #: the settings that change numpy's SIMD level, under which sweep rows move by rounding
-    SIMD_SETTINGS = ("numpy-below-avx2",)
+    SIMD_SETTINGS = ("numpy-avx2", "numpy-baseline")
 
     @staticmethod
     def _run(setting):

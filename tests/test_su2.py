@@ -19,7 +19,7 @@ from compulse import (
     rotation,
 )
 from compulse import series, su2
-from compulse.sequences import bb1, build
+from compulse.sequences import CATALOG, bb1, build
 from compulse.su2 import (
     CONTOUR_EPS,
     _axis_angle,
@@ -40,11 +40,12 @@ SMALL = st.floats(min_value=-0.3, max_value=0.3, allow_nan=False)
 def _column_steps(matrices, u):
     """Entries (w00, w10, w01, w11) of W = V U^dag, stacked along a last axis,
     by explicit column steps over lone matrices, the first one the rightmost
-    factor: the bit reference for the pulse loop's planning and batching."""
+    factor: the bit reference for the pulse loop's planning and batching.  At
+    a scalar point and a single U it steps on numpy scalars throughout."""
+    # [()] makes the entries of a lone 2x2 matrix numpy scalars, as a stack's entries are
     u_dag = u.conj().swapaxes(-1, -2)
-    w00, w10, w01, w11 = u_dag[..., 0, 0], u_dag[..., 1, 0], u_dag[..., 0, 1], u_dag[..., 1, 1]
+    w00, w10, w01, w11 = (u_dag[..., i, j][()] for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)))
     for m in matrices:
-        # [()] makes the entries of a lone 2x2 matrix numpy scalars, as a stack's entries are
         m00, m01, m10, m11 = (m[..., i, j][()] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
         w00, w10 = m00 * w00 + m01 * w10, m10 * w00 + m11 * w10
         w01, w11 = m00 * w01 + m01 * w11, m10 * w01 + m11 * w11
@@ -553,6 +554,57 @@ class TestPulseLoop:
             got = _columns_of(seq.pulses, kind, eps, f)
             lone = _column_steps((self._lone_pulse(p, kind, eps, f) for p in seq), su2.IDENTITY)
             assert got.tobytes() == lone.tobytes()
+
+
+#: one scalar (eps, f) point per model, the fraction a model does not carry left at 0
+SCALAR_POINTS = {"ple": (0.013, 0.0), "ore": (0.0, 0.007), "sim": (0.013, 0.007)}
+
+
+class TestScalarPointSteps:
+    """At a scalar point the kernel steps on Python complex numbers, and W
+    equals the numpy-scalar column steps of :func:`_column_steps` byte for byte."""
+
+    @staticmethod
+    def _assert_steps_match(pulses, kind, eps, f, u):
+        got = _columns_of(pulses, kind, eps, f, u)
+        want = _column_steps((pulse_matrix(p, kind, eps, f) for p in pulses), u)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        model = ErrorModel(kind, epsilon=eps, f=f)
+        want = _column_steps((propagator(p, model) for p in pulses), su2.IDENTITY)
+        assert compose(pulses, model).tobytes() == want[[0, 2, 1, 3]].tobytes()  # w00, w01, w10, w11
+
+    def test_entries_are_python_complex(self):
+        seq = build("sk3", math.pi)
+        entries = residual_columns(seq.pulses, "sim", 0.013, 0.007, su2.rotation(math.pi, 0.0))
+        assert all(type(w) is complex for w in entries)
+
+    @pytest.mark.parametrize("kind", ["ple", "ore", "sim"])
+    def test_catalog(self, kind):
+        eps, f = SCALAR_POINTS[kind]
+        for name in CATALOG:
+            for theta in (math.pi, math.radians(37.0), math.radians(123.0)):
+                try:
+                    seq = build(name, theta)
+                except ValueError:  # sk3 and some off-resonance entries take 180 degrees only
+                    continue
+                u = su2.rotation(seq.target.angle, seq.target.phase)
+                self._assert_steps_match(seq.pulses, kind, eps, f, u)
+
+    def test_complex_scalar_point(self):
+        seq = build("sk2rot", 2.0)
+        got = _columns_of(seq.pulses, "ple", CONTOUR_EPS[5], 0.0)
+        want = _column_steps((pulse_matrix(p, "ple", CONTOUR_EPS[5], 0.0) for p in seq), su2.IDENTITY)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(ANGLES, PHASES), min_size=1, max_size=24), st.tuples(ANGLES, PHASES), SMALL, SMALL)
+    def test_random_pulse_lists(self, pairs, target, eps, f):
+        u = su2.rotation(*target)
+        for kind in ("ple", "ore", "sim"):
+            # off resonance takes nonnegative angles only
+            pulses = [Pulse(a if kind == "ple" else abs(a), phi) for a, phi in pairs]
+            point = {"ple": (eps, 0.0), "ore": (0.0, f), "sim": (eps, f)}[kind]
+            self._assert_steps_match(pulses, kind, *point, u)
 
 
 class TestPlanMemo:

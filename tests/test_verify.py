@@ -553,7 +553,8 @@ def _mp_infidelity(mp, pulses, target, kind, eps, f):
 
 
 class TestMpmathReferee:
-    """infidelity_grid against a 40-digit composition of random pulse lists."""
+    """infidelity_grid against a 40-digit composition of random pulse lists,
+    on a grid and at each of its points as a scalar call."""
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(st.lists(REFEREE_PULSES, min_size=1, max_size=16), REFEREE_PULSES, st.booleans())
@@ -566,8 +567,11 @@ class TestMpmathReferee:
             got = infidelity_grid(pulses, kind, eps, f, target)
             with mp.workdps(40):
                 for x, value in zip(REFEREE_GRID, got):
-                    ref = _mp_infidelity(mp, pulses, target, kind, x, x)
-                    assert abs(math.sqrt(value) - float(mp.sqrt(ref))) <= bound, (kind, x)
+                    ref = float(mp.sqrt(_mp_infidelity(mp, pulses, target, kind, x, x)))
+                    point = infidelity_grid(pulses, kind, 0.0 if kind == "ore" else x, 0.0 if kind == "ple" else x,
+                                            target)
+                    assert abs(math.sqrt(value) - ref) <= bound, (kind, x)
+                    assert abs(math.sqrt(point) - ref) <= bound, (kind, x, "scalar")
 
 
 class TestInverseQuality:
@@ -706,13 +710,20 @@ class TestFidelitySurface:
         f = np.array([0.0, 1e-3, 5e-2, -7e-3])[None, :]
         table = infidelity_grid(seq.pulses, "sim", eps, f, seq.target)
         assert table.shape == (3, 4)
-        # within rounding, not bit for bit: a scalar point composes on numpy
-        # scalars, whose complex product is not fused, a grid on SIMD arrays
+        # within rounding, not bit for bit: a scalar point composes on Python
+        # complex numbers, whose product is not fused, and reads W through
+        # libm's hypot; a grid composes and reads on SIMD arrays
         bound = 2 * len(seq.pulses) * np.finfo(float).eps
         for i, e in enumerate(eps[:, 0]):
             for j, x in enumerate(f[0]):
                 point = infidelity_ld(seq.pulses, "sim", e, x, seq.target)
                 assert abs(math.sqrt(table[i, j]) - math.sqrt(point)) <= bound
+
+    @pytest.mark.parametrize("kind", ["ple", "ore", "sim"])
+    def test_scalar_point_gives_numpy_float(self, kind):
+        seq = build("simultaneous", PI)
+        assert type(infidelity_grid(seq.pulses, kind, 0.0 if kind == "ore" else 0.013,
+                                    0.0 if kind == "ple" else 0.007, seq.target)) is np.float64
 
     def test_zero_error_is_exact(self):
         seq = build("simultaneous", PI)

@@ -28,8 +28,12 @@ of every float, and the message of every refused input, in a fixed order, so
 equal digests mean equal bits.  The families:
 
 - ``infidelity_grid``: every catalog entry at 180, 37 and 123 degrees under
-  ple, ore and sim, on a scalar point, a 1-D grid, an (E,1)x(1,F) grid and a
-  complex contour;
+  ple, ore and sim, on a 1-D grid, an (E,1)x(1,F) grid and a complex
+  contour;
+- ``infidelity_point``: the same sequences and models at one scalar point,
+  which composes on Python complex numbers rather than arrays, so that a
+  change which moves only scalar-point bits shows that grids and contours
+  kept theirs;
 - ``infidelity_repeats``: ``infidelity_grid`` called again and again on the
   same pulse tuples, as a sweep does point by point: each sequence's tuple
   twice in a row, each pair of consecutive sequences alternating, and a
@@ -232,13 +236,14 @@ def _residual_entries(pulses, kind, eps, f, u) -> np.ndarray:
 
 
 def grid_families() -> list[Digest]:
-    infid, mats, norms = Digest("infidelity_grid"), Digest("su2"), Digest("contour_sigma_norms")
+    infid, point = Digest("infidelity_grid"), Digest("infidelity_point")
+    mats, norms = Digest("su2"), Digest("contour_sigma_norms")
     for _, seq in _sequences():
         u = su2.rotation(seq.target.angle, seq.target.phase)
         for kind in KINDS:
-            for grid in GRIDS.values():
+            for name, grid in GRIDS.items():
                 eps, f = grid(kind)
-                infid.call(infidelity_grid, seq, kind, eps, f, seq.target)
+                (point if name == "scalar" else infid).call(infidelity_grid, seq, kind, eps, f, seq.target)
                 mats.call(_residual_entries, seq.pulses, kind, eps, f, u)
             mats.call(su2.pulse_matrix, seq.pulses[0], kind, 0.013, 0.007)
             model = {"ple": ErrorModel.pulse_length(0.013), "ore": ErrorModel.off_resonance(0.007),
@@ -247,7 +252,7 @@ def grid_families() -> list[Digest]:
             mats.call(compose, seq, model)
         for points in (32, 64):
             norms.call(su2.contour_sigma_norms, seq.pulses, u, points)
-    return [infid, repeat_family(), mats, norms]
+    return [infid, point, repeat_family(), mats, norms]
 
 
 def repeat_family() -> Digest:
