@@ -1,11 +1,14 @@
 """Composite pulse synthesis, series expansion and error-order certification.
 
-The public names below live in four modules and are looked up in them on
+The public names below live in five modules and are looked up in them on
 each access (PEP 562), never copied here, so a patched module attribute is
 what ``compulse.<name>`` returns.  ``import compulse`` loads none of the
 modules, and importing ``compulse.verify``, ``compulse.sequences`` or
 ``compulse.su2`` loads no series code: the numeric route stays independent
 of the series engine in the running process, not only in the source.
+``compulse.pulse`` (the pulse and error-model types) and
+``compulse.sequences`` load no numpy either, so ``compulse.Pulse`` and
+``compulse.build`` of any entry but sk3 run on the standard library alone.
 """
 
 import importlib
@@ -14,9 +17,9 @@ __version__ = "0.1.0"
 
 #: module -> the public names it provides, in ``__all__`` order
 _NAMES = {
+    "pulse": ("MODEL_KINDS", "PULSE_LENGTH", "OFF_RESONANCE", "SIMULTANEOUS", "Pulse", "ErrorModel"),
     "su2": (
-        "IDENTITY", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "MODEL_KINDS", "PULSE_LENGTH", "OFF_RESONANCE",
-        "SIMULTANEOUS", "Pulse", "ErrorModel", "PauliDecomposition", "rotation", "propagator", "compose",
+        "IDENTITY", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "PauliDecomposition", "rotation", "propagator", "compose",
         "adjoint", "fidelity", "pauli_decompose",
     ),
     "series": (

@@ -7,6 +7,14 @@ pulse order; sweeps are plain CSV.
 Exit codes: 0 success, 1 verification mismatch, 2 bad usage or malformed
 input, 3 unsolvable target angle, 4 unwritable output.  Commands return 0 or 1
 and raise a :class:`CliError` for a refusal; :func:`main` alone decides exit codes.
+
+numpy loads only in the commands that compose: ``verify``, ``sweep`` and
+``compare``, each once its input has passed every check that needs no
+composition, and ``sweep --grid``, whose grid is a numpy array.  ``synth``
+and the refusals raised before anything is composed (an unreadable or
+invalid document, an unknown name, a bad option) run without numpy, unless
+the catalog entry is sk3, whose phase solver composes.  Only ``verify``
+loads the series engine.
 """
 
 from __future__ import annotations
@@ -18,12 +26,8 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
-from . import series as _series
-from . import verify as _verify
+from .pulse import KIND_AXIS, MODEL_KINDS, SIMULTANEOUS, Pulse
 from .sequences import CATALOG, PulseSequence, build
-from .su2 import KIND_AXIS, MODEL_KINDS, SIMULTANEOUS, Pulse
 
 SCHEMA_VERSION = 1
 _INT_METADATA = ("na", "nb", "nc")
@@ -124,7 +128,7 @@ def parse_document(text: str) -> SequenceDocument:
     for key in required:
         if key not in raw:
             raise DocumentError(f"missing required field {key!r}")
-    if raw["schema_version"] != SCHEMA_VERSION:
+    if type(raw["schema_version"]) is not int or raw["schema_version"] != SCHEMA_VERSION:  # True == 1.0 == 1
         raise DocumentError(f"unsupported schema_version {raw['schema_version']!r}")
     if raw["convention"] != "chronological":
         raise DocumentError(f"unsupported pulse convention {raw['convention']!r}")
@@ -233,10 +237,12 @@ def _min_max_points(spec: str) -> tuple[float, float, int]:
     return lo, hi, n
 
 
-def _parse_grid(spec: str) -> np.ndarray:
+def _parse_grid(spec: str):
     lo, hi, n = _option(spec, _min_max_points,
                         "grid must be min:max:points with finite 0 <= min <= max (geometric needs min > 0)",
                         lambda r: 0 <= r[0] <= r[1] and (r[0] > 0 or r[0] == r[1]))
+    import numpy as np
+
     return np.full(n, lo) if lo == hi else np.geomspace(lo, hi, n)
 
 
@@ -252,12 +258,15 @@ def cmd_verify(args) -> int:
     axis = KIND_AXIS.get(model_kind)
     if axis is None:
         raise CliError("verify needs a single error axis; use --model ple or --model ore")
+    from . import series, verify
+
+    degree = series.DEFAULT_DEGREE if args.degree is None else args.degree
     try:
-        report = _series.leading_error(_series.residual(seq.pulses, seq.target, model_kind, args.degree))
+        report = series.leading_error(series.residual(seq.pulses, seq.target, model_kind, degree))
     except ValueError as exc:
         # declared target does not match the pulse list (or similar defect)
         raise CliError(str(exc)) from exc
-    sweep = _verify.estimate_order(seq, axis)
+    sweep = verify.estimate_order(seq, axis)
     coeff = report.infidelity_coefficient
     ok = report.order == args.expect_order and sweep.order == args.expect_order
     if args.json:
@@ -278,7 +287,7 @@ def cmd_verify(args) -> int:
         lines = [
             f"sequence:        {seq.name} (target {math.degrees(seq.target_theta):g} deg)",
             f"error model:     {model_kind}",
-            f"series order:    {report.order if report.order is not None else f'> {args.degree}'}",
+            f"series order:    {report.order if report.order is not None else f'> {degree}'}",
         ]
         if sweep.beyond_resolution:
             lines.append("numeric order:   beyond numeric resolution (exact to rounding)")
@@ -297,12 +306,14 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     seq = _load_sequence(args.sequence, args.theta)
     model_kind = args.model or seq.model_kind
+    from . import verify
+
     try:
         if model_kind == SIMULTANEOUS:
-            grid = args.grid if args.grid is not None else _verify.geometric_grid()
-            ys = _verify.infidelity_grid(seq.pulses, model_kind, grid[:, None], grid[None, :], seq.target)
+            grid = args.grid if args.grid is not None else verify.geometric_grid()
+            ys = verify.infidelity_grid(seq.pulses, model_kind, grid[:, None], grid[None, :], seq.target)
         else:
-            grid, ys = _verify.axis_sweep(seq, KIND_AXIS[model_kind], args.grid)
+            grid, ys = verify.axis_sweep(seq, KIND_AXIS[model_kind], args.grid)
     except ValueError as exc:
         # e.g. a negative-angle pulse under an off-resonance model
         raise CliError(str(exc)) from exc
@@ -326,10 +337,14 @@ def cmd_compare(args) -> int:
     for n in names:
         if n not in CATALOG:
             raise CliError(f"unknown sequence name {n!r}")
+    import numpy as np
+
+    from . import verify
+
     lo, hi, npts = args.theta_range
     thetas = np.radians(np.linspace(lo, hi, npts))
     try:
-        result = _verify.crossover_scan(names, thetas)
+        result = verify.crossover_scan(names, thetas)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     lines = ["theta_deg," + ",".join(names)]
@@ -376,7 +391,7 @@ def main(argv=None) -> int:
     p_verify.add_argument("--model", choices=list(MODEL_KINDS), default=None)
     p_verify.add_argument("--expect-order", "--order", dest="expect_order", type=int, required=True)
     p_verify.add_argument("--theta", type=_theta, default=180.0, help="target angle in degrees (catalog names)")
-    p_verify.add_argument("--degree", type=_parse_degree, default=_series.DEFAULT_DEGREE,
+    p_verify.add_argument("--degree", type=_parse_degree, default=None,
                           help=f"series truncation degree, 1..{MAX_DEGREE}")
     p_verify.add_argument("--json", action="store_true", help="emit the report as JSON")
     p_verify.set_defaults(func=cmd_verify)

@@ -19,7 +19,9 @@ one conjugation by erroneous pi/2 pulses about y turns an x term into a z
 term, and the off-resonance primed terms Y1', X1' and Z2' are the pulse lists
 of Y1, X1 and Z2 reversed.  Every correction phase is closed form,
 sk3's included; its one check reads the residual off a contour in ``su2``, so
-nothing here uses the series engine that certifies these sequences.
+nothing here uses the series engine that certifies these sequences.  The
+module itself imports only ``pulse``: ``su2``, and numpy with it, loads on
+the first sk3 solve, so building any other sequence loads no numpy.
 
 ``CATALOG`` maps each sequence name to its one builder, ``theta ->
 PulseSequence``, and the sequence it returns carries that name.
@@ -37,10 +39,9 @@ import operator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
 
-from .su2 import OFF_RESONANCE, PULSE_LENGTH, SIMULTANEOUS, Pulse, contour_sigma_norms, rotation
+from .pulse import OFF_RESONANCE, PULSE_LENGTH, SIMULTANEOUS, TWO_PI, Pulse
 
 PI = math.pi
-TWO_PI = 2.0 * math.pi
 #: largest sigma norm of degree 1..3 that the third-order solver's root may leave
 _SOLVER_TOL = 1e-12
 
@@ -258,9 +259,11 @@ def solve_third_order() -> tuple[float, float]:
     degree 3.  If the largest does not fall below ``_SOLVER_TOL``,
     SolverFailure carries ``best = (phi3, delta, norm)``.
     """
+    from . import su2  # the one composition here: building a sequence loads no numpy
+
     phi3 = math.acos((math.sqrt(40.0) / 2048.0) ** (1.0 / 3.0))
     delta = math.atan2(math.sqrt(15.0), -5.0)
-    norm = float(contour_sigma_norms(_sk3_pulses(phi3, delta), rotation(PI, 0.0), points=64)[1:].max())
+    norm = float(su2.contour_sigma_norms(_sk3_pulses(phi3, delta), su2.rotation(PI, 0.0), points=64)[1:].max())
     if not norm < _SOLVER_TOL:
         raise SolverFailure(
             f"third-order phase solver: |residual| {norm:.3e} at the closed-form root "

@@ -8,10 +8,9 @@ tilts every rotation axis toward z.  Both may act at once.  A pulse keeps
 its angle as given, sign included: the ideal and pulse-length propagators
 take a signed angle, while the off-resonance ones are defined for
 nonnegative angles only, so the ``ore`` and ``sim`` models refuse a pulse
-with a negative angle.  This module decides the error-model vocabulary for
-every route: the kind check (:func:`kind_of`), that refusal
-(:func:`negative_angle_error`) and the sweep axis of each single-channel
-kind (``KIND_AXIS``).
+with a negative angle.  The value types :class:`Pulse` and
+:class:`ErrorModel` and the error-model vocabulary come from ``pulse``,
+which loads no numpy; this module re-exports them unchanged.
 
 The residual W = V U^dag of a sequence is analytic in the error fractions,
 so Cauchy sums at complex fractions read its Taylor coefficients:
@@ -59,14 +58,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-PULSE_LENGTH = "ple"
-OFF_RESONANCE = "ore"
-SIMULTANEOUS = "sim"
-MODEL_KINDS = (PULSE_LENGTH, OFF_RESONANCE, SIMULTANEOUS)
-#: the sweep axis of each single-channel error model
-KIND_AXIS = {PULSE_LENGTH: "eps", OFF_RESONANCE: "f"}
-
-TWO_PI = 2.0 * math.pi
+# su2's own names as well: su2.Pulse is pulse.Pulse, and so on
+from .pulse import (KIND_AXIS, MODEL_KINDS, OFF_RESONANCE, PULSE_LENGTH, SIMULTANEOUS, TWO_PI, ErrorModel, Pulse,
+                    kind_of, negative_angle_error)
 
 IDENTITY = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -89,79 +83,6 @@ CONTOUR_EPS = _contour(CONTOUR_POINTS)[0]
 
 #: grid points (pulses times points per pulse) whose phase parts the pulse loop builds in one step
 _BATCH_POINTS = 1024
-
-
-@dataclass(frozen=True, slots=True)
-class Pulse:
-    """One elementary rotation: angle and axis phase, both in radians.
-
-    The angle is kept as given, sign included; the phase is reduced to
-    [0, 2pi).
-    """
-
-    angle: float
-    phase: float
-
-    def __post_init__(self) -> None:
-        angle = float(self.angle)
-        phase = float(self.phase)
-        if not (math.isfinite(angle) and math.isfinite(phase)):
-            raise ValueError(f"pulse parameters must be finite, got ({angle}, {phase})")
-        phase %= TWO_PI
-        if phase == TWO_PI:  # float % rounds a tiny negative phase up to the modulus
-            phase = 0.0
-        object.__setattr__(self, "angle", angle)
-        object.__setattr__(self, "phase", phase)
-
-
-@dataclass(frozen=True)
-class ErrorModel:
-    """Which systematic error applies and how large it is.
-
-    ``kind`` is one of ``"ple"`` (pulse length), ``"ore"`` (off-resonance) or
-    ``"sim"`` (both at once).  A pulse-length model carries only ``epsilon``,
-    an off-resonance model only ``f``.
-    """
-
-    kind: str
-    epsilon: float = 0.0
-    f: float = 0.0
-
-    def __post_init__(self) -> None:
-        kind_of(self)
-        if self.kind == PULSE_LENGTH and self.f != 0.0:
-            raise ValueError("pulse-length model must not carry an off-resonance fraction")
-        if self.kind == OFF_RESONANCE and self.epsilon != 0.0:
-            raise ValueError("off-resonance model must not carry a pulse-length fraction")
-
-    @classmethod
-    def pulse_length(cls, epsilon: float) -> "ErrorModel":
-        return cls(PULSE_LENGTH, epsilon=epsilon)
-
-    @classmethod
-    def off_resonance(cls, f: float) -> "ErrorModel":
-        return cls(OFF_RESONANCE, f=f)
-
-    @classmethod
-    def simultaneous(cls, epsilon: float, f: float) -> "ErrorModel":
-        return cls(SIMULTANEOUS, epsilon=epsilon, f=f)
-
-
-def kind_of(model) -> str:
-    """The kind of ``model``, an :class:`ErrorModel` or a kind string; a kind
-    outside ``MODEL_KINDS`` raises ValueError."""
-    kind = model.kind if isinstance(model, ErrorModel) else model
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown error model kind {kind!r}")
-    return kind
-
-
-def negative_angle_error() -> ValueError:
-    """The refusal of a negative-angle pulse under an off-resonance model."""
-    return ValueError(
-        "off-resonance propagators are defined for nonnegative angles only; "
-        "this pulse was built from a negative-angle request"
-    )
 
 
 @dataclass(frozen=True)

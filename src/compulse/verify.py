@@ -6,7 +6,7 @@ plain float64 over whole error grids, column by column through
 grids, and error orders and leading coefficients are recovered from log-log
 slopes and small-x extrapolation.  Every sweep along
 one error axis goes through :func:`axis_sweep`, which maps the axis to its
-error model (the inverse of ``su2.KIND_AXIS``), takes the sequence's own
+error model (the inverse of ``pulse.KIND_AXIS``), takes the sequence's own
 target or the identity for a bare pulse list, and checks and sorts the grid.
 The infidelity is taken from the Pauli (sigma) part of the residual unitary
 rather than from 1 - |Tr/2|, so it carries no cancellation floor and needs

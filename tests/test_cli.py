@@ -15,7 +15,7 @@ try:
 except ImportError:  # numpy 1.x
     from numpy.core._multiarray_umath import __cpu_features__
 
-from compulse import ErrorModel, Pulse, compose, residual
+from compulse import ErrorModel, Pulse, compose, residual, series
 from compulse.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -79,6 +79,8 @@ class TestDocuments:
             lambda d: d.update(error_model="xyz"),
             lambda d: d.update(pulses=[]),
             lambda d: d.update(pulses=[{"angle_deg": 1.0}]),
+            lambda d: d.update(schema_version=True),  # True == 1, but not schema 1
+            lambda d: d.update(schema_version=1.0),
         ],
     )
     def test_malformed_documents_rejected(self, mutation):
@@ -192,6 +194,22 @@ class TestVerify:
 
     def test_missing_file(self, capsys):
         assert run_main("verify", "/no/such/file.json", "--expect-order", "1") == EXIT_USAGE
+
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+    def test_schema_version_must_be_the_integer(self, version, tmp_path, capsys):
+        doc = json.loads(serialize_document(build_document(build("bb1", PI))))
+        doc["schema_version"] = version
+        bad = tmp_path / "bad_schema.json"
+        bad.write_text(json.dumps(doc))
+        assert run_main("verify", str(bad), "--expect-order", "3") == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unsupported schema_version {version!r}\n"
+
+    def test_default_degree_is_read_from_series(self, monkeypatch, capsys):
+        monkeypatch.setattr(series, "DEFAULT_DEGREE", 2)
+        assert run_main("verify", "bb1", "--order", "3") == EXIT_MISMATCH
+        assert "series order:    > 2" in capsys.readouterr().out
 
     def test_inconsistent_target_rejected(self, tmp_path, capsys):
         # document whose declared target does not match its pulses

@@ -1,4 +1,5 @@
-"""Package surface: every exported name resolves, the numeric modules load no series code, and the runtime needs numpy only."""
+"""Package surface: every exported name resolves, the numeric modules load no series code, building and the
+CLI refusals load no numpy, and the runtime needs numpy only."""
 
 import ast
 import importlib
@@ -15,10 +16,10 @@ MODULES = sorted(pathlib.Path(compulse.__file__).parent.glob("*.py"))
 SRC = str(pathlib.Path(compulse.__file__).parent.parent)
 
 
-def fresh(code: str) -> str:
+def fresh(code: str, cwd=None) -> str:
     """stdout of ``code`` run in a fresh interpreter that imports compulse from this tree."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -82,8 +83,51 @@ def test_numeric_route_loads_no_series_code(module):
     assert "compulse.series" not in loaded
 
 
-def test_cli_loads_series_code():
-    assert "compulse.series" in loaded_after("compulse.cli")
+def modules_after(code: str, cwd=None) -> set:
+    """Every module in ``sys.modules`` once ``code`` has run in a fresh interpreter."""
+    return set(fresh(f"{code}\nimport sys; print(*sys.modules)", cwd).splitlines()[-1].split())
+
+
+def cli_run(*argv) -> str:
+    """Code that runs ``compulse ARGV...`` through ``cli.main`` and returns, whatever the exit code."""
+    return f"import compulse.cli; compulse.cli.main({list(argv)!r})"
+
+
+@pytest.mark.parametrize("code", [
+    "import compulse.cli",
+    "import compulse.sequences",
+    "import compulse; compulse.Pulse; compulse.build('bb1', 1.0)",
+    cli_run("synth", "bb1"),
+    cli_run("verify", "missing.json", "--order", "3"),
+    cli_run("verify", "not-json.json", "--order", "3"),
+], ids=["import-cli", "import-sequences", "build-bb1", "synth", "verify-unreadable", "verify-not-json"])
+def test_loads_no_numpy(code, tmp_path):
+    """Building a sequence, ``synth`` and a refused document need the standard library alone."""
+    (tmp_path / "not-json.json").write_text("{not json", encoding="utf-8")
+    loaded = modules_after(code, tmp_path)
+    assert "compulse.pulse" in loaded
+    assert "numpy" not in loaded
+
+
+@pytest.mark.parametrize("argv, series", [
+    (("verify", "bb1", "--order", "3"), True),
+    (("sweep", "bb1"), False),
+    (("compare", "--variants", "bb1", "sk2rot", "--theta-range", "150:180:3"), False),
+], ids=["verify", "sweep", "compare"])
+def test_composing_commands_load_numpy(argv, series):
+    """The commands that compose load numpy, and only ``verify`` loads the series engine."""
+    loaded = modules_after(cli_run(*argv))
+    assert "numpy" in loaded
+    assert ("compulse.series" in loaded) == series
+
+
+def test_pulse_module_imports_the_standard_library_alone():
+    tree = ast.parse((pathlib.Path(compulse.__file__).parent / "pulse.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all(alias.name.split(".")[0] in sys.stdlib_module_names for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and node.module.split(".")[0] in sys.stdlib_module_names, node.module
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -12,7 +12,7 @@ from compulse import (
     leading_error,
     residual,
 )
-from compulse import sequences
+from compulse import sequences, su2
 from compulse.sequences import (
     CATALOG,
     PulseSequence,
@@ -239,13 +239,13 @@ class TestThirdOrderSolver:
 
     def test_check_runs_on_the_built_pulse_list(self, monkeypatch):
         checked = []
-        contour = sequences.contour_sigma_norms
+        contour = su2.contour_sigma_norms  # the solver looks it up on su2 at each solve
 
         def recording(pulses, *args, **kwargs):
             checked.append(tuple(pulses))
             return contour(pulses, *args, **kwargs)
 
-        monkeypatch.setattr(sequences, "contour_sigma_norms", recording)
+        monkeypatch.setattr(su2, "contour_sigma_norms", recording)
         solve_third_order.cache_clear()
         try:
             solve_third_order()

@@ -34,12 +34,14 @@ equal digests mean equal bits.  The families:
   which composes on Python complex numbers rather than arrays, so that a
   change which moves only scalar-point bits shows that grids and contours
   kept theirs;
-- ``infidelity_repeats``: ``infidelity_grid`` called again and again on the
-  same pulse tuples, as a sweep does point by point: each sequence's tuple
-  twice in a row, each pair of consecutive sequences alternating, and a
-  tuple with a negative-angle pulse under ple, then ore and sim (refused),
-  then ple again, so that a kept plan or target cannot change a bit or a
-  refusal;
+- ``point_repeats``: ``infidelity_grid`` called again and again on the
+  same pulse tuples at the scalar point, as a sweep does point by point:
+  each sequence's tuple twice in a row, each pair of consecutive sequences
+  alternating, and a tuple with a negative-angle pulse under ple, then ore
+  and sim (refused), then ple again, so that a kept plan or target cannot
+  change a bit or a refusal;
+- ``grid_repeats``: the same repeated calls, but of the 1-D grid, in a
+  family of its own for the reason ``infidelity_point`` has one;
 - ``su2``: ``pulse_matrix``, ``propagator``, ``compose`` and
   ``residual_columns``, its four entries stacked along a last axis, of the
   same sequences;
@@ -252,14 +254,14 @@ def grid_families() -> list[Digest]:
             mats.call(compose, seq, model)
         for points in (32, 64):
             norms.call(su2.contour_sigma_norms, seq.pulses, u, points)
-    return [infid, point, repeat_family(), mats, norms]
+    return [infid, point, *repeat_families(), mats, norms]
 
 
-def repeat_family() -> Digest:
-    d = Digest("infidelity_repeats")
+def repeat_families() -> list[Digest]:
+    point, grid = Digest("point_repeats"), Digest("grid_repeats")
     seqs = [seq for _, seq in _sequences()]
     for kind in KINDS:
-        for eps, f in (GRIDS["scalar"](kind), GRIDS["1-D"](kind)):
+        for d, (eps, f) in ((point, GRIDS["scalar"](kind)), (grid, GRIDS["1-D"](kind))):
             for seq in seqs:
                 for _ in range(2):
                     d.call(infidelity_grid, seq.pulses, kind, eps, f, seq.target)
@@ -268,8 +270,8 @@ def repeat_family() -> Digest:
                     d.call(infidelity_grid, seq.pulses, kind, eps, f, seq.target)
     negative = build("simple", -math.pi / 2)
     for kind in ("ple", "ore", "sim", "ple"):
-        d.call(infidelity_grid, negative.pulses, kind, 0.013, 0.007, negative.target)
-    return d
+        point.call(infidelity_grid, negative.pulses, kind, 0.013, 0.007, negative.target)
+    return [point, grid]
 
 
 def _scan(d: Digest, angles: Digest, names, thetas) -> float | None:

@@ -1,12 +1,15 @@
-"""Print the layer rows of the ROADMAP Baseline table, timed in process.
+"""Print the layer and process rows of the ROADMAP Baseline table.
 
     python3 tools/timings.py
 
-Each figure is the best of five ``timeit`` repeats of one call, every repeat
-running the call as many times as ``timeit``'s autorange picks (at least
-0.2 s).  The first line is the configuration line of ``tools/digest.py``:
-the numpy version, its SIMD targets and the OpenBLAS core, which the
-figures depend on as well as the host.  The rows, as markdown table rows:
+Each layer figure is the best of five ``timeit`` repeats of one call, every
+repeat running the call as many times as ``timeit``'s autorange picks (at
+least 0.2 s).  The first line is the configuration line of
+``tools/digest.py``: the numpy version, its SIMD targets and the OpenBLAS
+core, which the figures depend on as well as the host.  The second says
+whether ``PYTHONDONTWRITEBYTECODE`` is set: when it is, no bytecode cache is
+written, and every fresh process compiles compulse's sources again.  The
+rows, as markdown table rows:
 
 - ``sequence_series`` and ``residual`` at degree 8 of bb1, sk3,
   or-second-xz and simultaneous at 180 degrees, each in its design model;
@@ -18,7 +21,13 @@ figures depend on as well as the host.  The rows, as markdown table rows:
 - ``estimate_order`` of sk3 along eps (25-point default sweep);
 - ``fidelity_surface`` of simultaneous (derived degrees, default grids);
 - ``crossover_scan`` of bb1 against sk2rot on the README range, 86 angles
-  from 10 to 180 degrees.
+  from 10 to 180 degrees;
+- fresh processes, each the median and the best of five wall times from
+  spawn to exit: ``python -c pass``, ``import numpy`` and
+  ``import compulse.cli``; the CLI commands ``synth bb1``,
+  ``verify sk3 --order 4 --json``, ``compare`` over the README range and
+  ``sweep simultaneous``; and one ``verify`` of a document that is not
+  valid JSON.
 
 It needs numpy alone and imports compulse from ``src/`` of the checkout it
 lives in.  Compare figures only between runs on the same host, interleaved,
@@ -28,11 +37,17 @@ and prefer ``perfbench/`` for any claimed gain: the host's speed drifts.
 from __future__ import annotations
 
 import math
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
 import timeit
 
 import numpy as np
 
-from digest import configuration_line  # the sibling tool; it puts src/ on the path
+from digest import SRC, configuration_line  # the sibling tool; it puts src/ on the path
 
 from compulse import build, crossover_scan, estimate_order, fidelity_surface, residual, sequence_series
 from compulse.verify import infidelity_grid
@@ -42,6 +57,18 @@ DEGREE = 8
 POINT = (0.013, 0.007)
 GRID = np.geomspace(1e-4, 1e-1, 300)
 README_THETAS = np.radians(np.linspace(10.0, 180.0, 86))
+#: (row label, the fresh process's arguments after ``python``)
+PROCESSES = (
+    ("`python -c pass`", ("-c", "pass")),
+    ('`python -c "import numpy"`', ("-c", "import numpy")),
+    ("`import compulse.cli`", ("-c", "import compulse.cli")),
+    ("CLI `synth bb1`", ("-m", "compulse.cli", "synth", "bb1")),
+    ("CLI `verify sk3 --order 4 --json`", ("-m", "compulse.cli", "verify", "sk3", "--order", "4", "--json")),
+    ("CLI `compare` (README range)",
+     ("-m", "compulse.cli", "compare", "--variants", "bb1", "sk2rot", "--theta-range", "10:180:86")),
+    ("CLI `sweep simultaneous`", ("-m", "compulse.cli", "sweep", "simultaneous", "--grid", "1e-3:1e-1:15")),
+    ("CLI `verify` of a document that is not JSON", ("-m", "compulse.cli", "verify", "bad.json", "--order", "3")),
+)
 
 
 def best(call) -> float:
@@ -89,9 +116,30 @@ def rows() -> list[str]:
     return out
 
 
+def process_rows() -> list[str]:
+    """One row per entry of ``PROCESSES``: median and best of five fresh processes."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "bad.json"), "w", encoding="utf-8") as fh:
+            fh.write("{not json")
+        for label, args in PROCESSES:
+            times = []
+            for _ in range(5):
+                start = time.perf_counter()
+                subprocess.run([sys.executable, *args], cwd=tmp, env=env,
+                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+                times.append(time.perf_counter() - start)
+            out.append(f"| {label}, fresh process | {statistics.median(times) * 1e3:.0f} ms "
+                       f"(best {min(times) * 1e3:.0f} ms) |")
+    return out
+
+
 def main() -> None:
     print(configuration_line())
-    for row in rows():
+    bytecode = "set (no bytecode cache is written)" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "unset"
+    print(f"PYTHONDONTWRITEBYTECODE {bytecode}")
+    for row in rows() + process_rows():
         print(row, flush=True)
 
 
