@@ -33,6 +33,10 @@ SCHEMA_VERSION = 1
 _INT_METADATA = ("na", "nb", "nc")
 #: largest accepted ``verify --degree``; a series holds (N+1)(N+2)/2 coefficients
 MAX_DEGREE = 16
+#: most error points a sweep composes (n^2 for the n x n grid of ``sweep`` under
+#: sim) and most angles ``compare`` scans; a larger count is refused before
+#: anything is allocated
+MAX_POINTS = 10_000
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -237,10 +241,17 @@ def _min_max_points(spec: str) -> tuple[float, float, int]:
     return lo, hi, n
 
 
+def _checked_count(spec: str, points: int, what: str) -> None:
+    """Refuse ``points`` beyond ``MAX_POINTS`` as argparse refuses a malformed option."""
+    if points > MAX_POINTS:
+        raise argparse.ArgumentTypeError(f"{what} must have at most {MAX_POINTS} points, got {spec!r}")
+
+
 def _parse_grid(spec: str):
     lo, hi, n = _option(spec, _min_max_points,
                         "grid must be min:max:points with finite 0 <= min <= max (geometric needs min > 0)",
                         lambda r: 0 <= r[0] <= r[1] and (r[0] > 0 or r[0] == r[1]))
+    _checked_count(spec, n, "grid")
     import numpy as np
 
     return np.full(n, lo) if lo == hi else np.geomspace(lo, hi, n)
@@ -306,6 +317,9 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     seq = _load_sequence(args.sequence, args.theta)
     model_kind = args.model or seq.model_kind
+    if model_kind == SIMULTANEOUS and args.grid is not None and len(args.grid) ** 2 > MAX_POINTS:
+        raise CliError(f"a sweep under both errors composes an n x n grid, so n^2 must be at most {MAX_POINTS}, "
+                       f"got n = {len(args.grid)}")
     from . import verify
 
     try:
@@ -369,8 +383,10 @@ def _theta(spec: str) -> float:
 
 
 def _theta_range(spec: str) -> tuple[float, float, int]:
-    return _option(spec, _min_max_points,
-                   "theta range must be min:max:points in degrees, with finite ends and points >= 1")
+    lo, hi, n = _option(spec, _min_max_points,
+                        "theta range must be min:max:points in degrees, with finite ends and points >= 1")
+    _checked_count(spec, n, "theta range")
+    return lo, hi, n
 
 
 def main(argv=None) -> int:

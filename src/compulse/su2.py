@@ -18,10 +18,14 @@ so Cauchy sums at complex fractions read its Taylor coefficients:
 the phase solver in ``sequences`` and the crossover scan in ``verify``, and
 ``verify`` the eps^2 f^2 fidelity term on a torus in (eps, f), neither with
 the series engine.  Every composition, real fractions, complex ones and
-:func:`compose` alike, goes through one kernel, :func:`_columns`: each
-column of W takes one matrix-vector step per pulse, written out on the
-entries of the pulse matrices.  No ``@`` multiplies pulse matrices, so no
-BLAS kernel enters the bits of W.
+:func:`compose` alike, goes through one kernel, :func:`_columns`: W's first
+column takes one matrix-vector step per pulse, written out on the entries
+of the pulse matrices.  The second column is read off the first: by SU(2)
+symmetry at real fractions (w11 = conj(w00), w01 = -conj(w10)), and on
+contours as the conjugates of the first column's Taylor coefficients.  Only
+:func:`compose`, which may be handed complex fractions off any contour,
+steps both columns.  No ``@`` multiplies pulse matrices, so no BLAS kernel
+enters the bits of W.
 
 The pulse loop behind :func:`residual_columns` splits each propagator into
 an angle part (the modulus, cosine and sine) and a phase part.  Composite
@@ -302,10 +306,15 @@ def compose(pulses, model: ErrorModel) -> np.ndarray:
     ``pulses`` is any iterable of :class:`Pulse` in chronological order (a
     :class:`~compulse.sequences.PulseSequence` works directly).  The result
     is the matrix product with the chronologically first pulse as the
-    rightmost factor, composed from one :func:`propagator` call per pulse by
-    :func:`_columns`, with the bits of :func:`residual_columns` at U = I.
+    rightmost factor, composed from one :func:`propagator` call per pulse.
+    The fractions may be complex, where no symmetry gives one column from
+    the other, so :func:`_columns` steps each column of I through the same
+    matrices: the first column has the bits of :func:`residual_columns` at
+    U = I, and the second starts from U^dag = sigma_x, whose first column is
+    I's second.
     """
-    w00, w10, w01, w11 = _columns((propagator(p, model)[None] for p in pulses), IDENTITY)
+    matrices = [propagator(p, model)[None] for p in pulses]
+    (w00, w10), (w01, w11) = (_columns(matrices, u) for u in (IDENTITY, SIGMA_X))
     return np.stack((w00, w01, w10, w11), axis=-1).reshape(np.shape(w00) + (2, 2))
 
 
@@ -323,8 +332,8 @@ def taylor_coefficients(values: np.ndarray) -> np.ndarray:
 
 
 def residual_columns(pulses, kind: str, eps, f, u: np.ndarray) -> tuple:
-    """Entries (w00, w10, w01, w11) of W = V U^dag at every point of the
-    broadcast grid of (eps, f).
+    """Entries (w00, w10) of the first column of W = V U^dag at every point
+    of the broadcast grid of (eps, f).
 
     V is the sequence composed under error model ``kind``; a pulse is
     anything with the fields :func:`pulse_matrix` reads, which under "ple"
@@ -335,33 +344,41 @@ def residual_columns(pulses, kind: str, eps, f, u: np.ndarray) -> tuple:
     matrices come from :func:`_pulse_matrices` and are composed by
     :func:`_columns`, so W does not depend on the batching.  An empty pulse
     list raises ValueError.
+
+    The second column follows from the first.  At real fractions every
+    pulse matrix and U^dag have the form [[a, -conj(b)], [b, conj(a)]], and
+    so does W: w11 = conj(w00) and w01 = -conj(w10), exactly, since
+    :func:`_phase_part` builds its entries that way and conjugation commutes
+    with rounding.  Continued to complex fractions, w11(eps, f) =
+    conj(w00(conj(eps), conj(f))): on a contour, whose nodes are closed under
+    conjugation, that is w00 at the mirrored node conjugated, and the Taylor
+    coefficients of w11 (-w01) are those of w00 (w10) conjugated.
     """
     return _columns(_pulse_matrices(pulses, kind, eps, f), u)
 
 
 def _columns(batches, u: np.ndarray) -> tuple:
-    """Entries (w00, w10, w01, w11) of the product of the pulse matrices in
-    ``batches`` times U^dag, the first pulse the rightmost factor.
+    """Entries (w00, w10) of the first column of the product of the pulse
+    matrices in ``batches`` times U^dag, the first pulse the rightmost factor.
 
     ``batches`` yields stacks of pulse matrices along a leading pulse axis.
-    Each column of W starts as a column of U^dag and takes one matrix-vector
-    step per pulse, written out on the pulse's entries (see :func:`_entries`):
-    Python complex numbers for a scalar point and for a single U, whose
-    arithmetic costs a fraction of numpy's scalar dispatch and whose product
-    rounds as numpy's scalar one does, bit for bit; array views for a grid,
-    a contour or a stack of targets.  This is the only place that multiplies
+    The column starts as the first column of U^dag and takes one
+    matrix-vector step per pulse, written out on the pulse's entries (see
+    :func:`_entries`): Python complex numbers for a scalar point and for a
+    single U, whose arithmetic costs a fraction of numpy's scalar dispatch
+    and whose product rounds as numpy's scalar one does, bit for bit; array
+    views for a grid, a contour or a stack of targets.  This is the only place that multiplies
     pulse matrices.  An empty ``batches`` raises ValueError.
     """
-    (w00, w01, w10, w11), = _entries(adjoint(u)[None])
+    (w00, _, w10, _), = _entries(adjoint(u)[None])
     composed = False
     for m in batches:
         for m00, m01, m10, m11 in _entries(m):
             w00, w10 = m00 * w00 + m01 * w10, m10 * w00 + m11 * w10
-            w01, w11 = m00 * w01 + m01 * w11, m10 * w01 + m11 * w11
             composed = True
     if not composed:
         raise ValueError("cannot compose an empty pulse sequence")
-    return w00, w10, w01, w11
+    return w00, w10
 
 
 def _entries(m: np.ndarray):
@@ -380,13 +397,20 @@ def contour_sigma_norms(pulses, u: np.ndarray, points: int = CONTOUR_POINTS) -> 
     fractions on the circle |eps| = ``CONTOUR_RADIUS``; more nodes push the
     aliasing error, of relative size r^N, further down.  The result has the
     batch shape of the pulses and targets followed by 4.
+
+    Only W's first column is composed.  With a and b the coefficients of w00
+    and w10, those of w11 and w01 are conj(a) and -conj(b) (see
+    :func:`residual_columns`), so the sigma_x, sigma_y and sigma_z parts of
+    W, (w01 + w10) / 2, i (w01 - w10) / 2 and (w00 - w11) / 2, have the
+    coefficients i Im(b), -i Re(b) and i Im(a): the norm is sqrt(|b|^2 +
+    Im(a)^2), as the infidelity's |a|^2 is Im(w00)^2 + |w10|^2 at real
+    fractions.
     """
-    w00, w10, w01, w11 = residual_columns(pulses, PULSE_LENGTH, _contour(points)[0], 0.0, u)
-    # sigma parts of W without conj, so that they stay analytic in eps
-    sigma = np.stack([w01 + w10, 1j * (w01 - w10), w00 - w11]) / 2.0
-    # one (3 n, N) product: a stacked one takes another BLAS kernel and rounds differently
-    coeffs = taylor_coefficients(sigma.reshape(-1, points)).reshape(sigma.shape[:-1] + (4,))
-    return np.sqrt((np.abs(coeffs) ** 2).sum(axis=0))
+    w00, w10 = residual_columns(pulses, PULSE_LENGTH, _contour(points)[0], 0.0, u)
+    first = np.stack((w00, w10))
+    # one (2 n, N) product: a stacked one takes another BLAS kernel and rounds differently
+    a, b = taylor_coefficients(first.reshape(-1, points)).reshape(first.shape[:-1] + (4,))
+    return np.sqrt(b.imag ** 2 + b.real ** 2 + a.imag ** 2)
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:

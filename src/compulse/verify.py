@@ -1,7 +1,7 @@
 """Independent numeric checks of the series engine's order and coefficient claims.
 
 Nothing here touches the power-series code path: sequences are composed in
-plain float64 over whole error grids, column by column through
+plain float64 over whole error grids, W's first column only, through
 :func:`compulse.su2.residual_columns`, infidelities are swept over geometric
 grids, and error orders and leading coefficients are recovered from log-log
 slopes and small-x extrapolation.  Every sweep along
@@ -15,17 +15,20 @@ no extended precision: infidelities do not depend on the platform's
 coefficients of the same residual, read on contours of complex fractions,
 give the degree-3 magnitudes of :func:`crossover_scan`
 (:func:`compulse.su2.contour_sigma_norms`) and the eps^2 f^2 coefficient of
-:func:`fidelity_surface`.  The whole angle grid of one variant of a scan is
-a single batched composition.  The bisection for the crossover then composes
-one angle per step, but only for the steps whose side is not yet decided: a
-capped regula falsi pre-pass brackets the root between angles whose
-difference lies beyond the read-out's rounding floor, and a midpoint outside
-that bracket takes the side its position implies.
+:func:`fidelity_surface`.  W's second column is read off the first: by its
+SU(2) form at real fractions, and on contours as the conjugates of the
+first column's Taylor coefficients.  The whole angle grid of one variant of
+a scan is a single batched composition.  The bisection for the crossover
+then composes one angle per step, but only for the steps whose side is not
+yet decided: a capped regula falsi pre-pass brackets the root between
+angles whose difference lies beyond the read-out's rounding floor, and a
+midpoint outside that bracket takes the side its position implies.
 Agreement between the two routes is what certifies a sequence.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -83,21 +86,20 @@ def _target_matrix(target: Pulse) -> np.ndarray:
 def infidelity_grid(pulses, kind: str, eps, f, target: Pulse) -> np.ndarray:
     """1 - |Tr(V U^dag)|/2 at every point of the broadcast grid of (eps, f).
 
-    With W = V U^dag = a0 I + a.sigma, its entries composed by
-    :func:`~compulse.su2.residual_columns`, the infidelity is evaluated as
-    |a|^2 / (1 + |a0|), which equals 1 - |a0| for unitary W but involves no
-    cancellation, so float64 resolves it far below 1e-16.  U comes from
+    The fractions must be real.  With W = V U^dag = a0 I + a.sigma, the
+    infidelity is evaluated as |a|^2 / (1 + |a0|), which equals 1 - |a0| for
+    unitary W but involves no cancellation, so float64 resolves it far below
+    1e-16.  Only W's first column is composed, by
+    :func:`~compulse.su2.residual_columns`: at real fractions w11 =
+    conj(w00) and w01 = -conj(w10), so a0 = Re(w00) and |a|^2 = Im(w00)^2 +
+    |w10|^2, with the bits the full matrix gives.  U comes from
     :func:`_target_matrix`, so a sweep point by point builds it once.  At a
     scalar point the entries are Python complex numbers, whose builtin
     ``abs`` is libm's ``hypot``, and the result is still a numpy float.
     """
-    w00, w10, w01, w11 = residual_columns(pulses, kind, eps, f, _target_matrix(target))
-    a0 = abs(w00 + w11) / 2.0
-    az = abs(w00 - w11) / 2.0
-    r01, r10 = abs(w01), abs(w10)
-    # |a_x|^2 + |a_y|^2 = (|w01|^2 + |w10|^2) / 2
-    a2 = az * az + (r01 * r01 + r10 * r10) / 2.0
-    return np.divide(a2, 1.0 + a0)
+    w00, w10 = residual_columns(pulses, kind, eps, f, _target_matrix(target))
+    az, r10 = w00.imag, abs(w10)
+    return np.divide(az * az + r10 * r10, 1.0 + abs(w00.real))
 
 
 def infidelity_ld(pulses, kind: str, eps, f, target: Pulse) -> float:
@@ -171,7 +173,8 @@ def estimate_order(seq, axis: str, grid=None) -> SweepResult:
     infidelity falls inside ``FIT_WINDOW`` enter the fit (below it is
     rounding noise, above it higher orders contaminate the slope); the order
     is accepted when slope/2 is within 0.1 of an integer.  The grid is
-    checked and sorted by :func:`axis_sweep`.
+    checked and sorted by :func:`axis_sweep`, and the line is fitted by
+    :func:`_line_fit`.
     """
     grid, infid = axis_sweep(seq, axis, grid)
     lo, hi = FIT_WINDOW
@@ -184,7 +187,7 @@ def estimate_order(seq, axis: str, grid=None) -> SweepResult:
 
     def fit(stop: int) -> SweepResult:
         x, y = x_all[:stop], y_all[:stop]
-        slope, intercept = np.polyfit(x, y, 1)
+        slope, intercept = _line_fit(x, y)
         resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
         n = round(slope / 2.0)
         ambiguous = abs(slope / 2.0 - n) >= 0.1 or n < 1
@@ -201,6 +204,21 @@ def estimate_order(seq, axis: str, grid=None) -> SweepResult:
         return full
     trimmed = (fit(stop) for stop in range(len(x_all) - 1, 3, -1))
     return next((r for r in trimmed if not r.ambiguous), full)
+
+
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Slope and intercept of the least-squares line through the points (x, y).
+
+    The closed form about the means, slope = sum dx dy / sum dx^2, with
+    every sum taken by ``math.fsum``, which rounds once whatever the order:
+    no LAPACK call (``np.polyfit`` makes one), so the fit does not depend on
+    the BLAS kernel or on the Python version.
+    """
+    xs, ys = x.tolist(), y.tolist()
+    x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dx = [v - x_mean for v in xs]
+    slope = math.fsum(d * (v - y_mean) for d, v in zip(dx, ys)) / math.fsum(d * d for d in dx)
+    return slope, y_mean - slope * x_mean
 
 
 def _leading_coefficient(grid: np.ndarray, infid: np.ndarray, degree: int) -> float:
@@ -358,11 +376,12 @@ def _rounding_floor(a: str, b: str, theta: float) -> float:
     eps (a variant is refused otherwise), so max|W| is taken as 1; it is
     1.004 for bb1 and 1.06 for sk2rot at their crossover.  The stated factor
     is the pulse count, one rounding per matrix-vector step of the
-    composition (each pulse takes one step on each column of W, the first
-    on the columns of U^dag), summed over both variants.  For bb1 against
-    sk2rot that is 21, a floor of 5.8e-13, where the difference's noise
-    about a straight line is at most 4.1e-14 over 401 angles within
-    2e-12 rad of the crossover, 14 times below the floor.
+    composition (each pulse takes one step on W's first column, which starts
+    as that of U^dag; the second column's coefficients are the first's
+    conjugated), summed over both variants.  For bb1 against sk2rot that is 21, a floor
+    of 5.8e-13, where the difference's noise about a straight line is at
+    most 3.9e-14 over 401 angles within 2e-12 rad of the crossover, 15 times
+    below the floor.
     """
     pulses = len(build(a, theta).pulses) + len(build(b, theta).pulses)
     return pulses * float(np.finfo(float).eps) / CONTOUR_RADIUS**3
@@ -463,18 +482,19 @@ def _cross_coefficient(seq, target: Pulse) -> float:
     """The eps^2 f^2 coefficient of the infidelity of ``seq`` against ``target``.
 
     W = V U^dag is composed under "sim" on the torus ``CONTOUR_EPS`` x
-    ``CONTOUR_EPS``.  Its half trace a0 = (w00 + w11) / 2 is analytic, and at
-    real fractions the infidelity 1 - |a0| is 1 - s a0, s the sign of a0 at
-    zero error (a0's mean over the torus), so one Cauchy sum along f and one
-    along eps read the coefficient.  At the fixed ``CONTOUR_RADIUS``, as for
+    ``CONTOUR_EPS``, its first column only.  The half trace a0 = (w00 +
+    w11) / 2 is analytic, and at real fractions the infidelity 1 - |a0| is
+    1 - s a0, s the sign of a0 at zero error.  w11(eps, f) is
+    conj(w00(conj(eps), conj(f))), so a0's Taylor coefficients are the real
+    parts of w00's: one Cauchy sum of w00 along f and one along eps read
+    the coefficient, and s is the sign of Re(w00)'s mean over the torus.  At the fixed ``CONTOUR_RADIUS``, as for
     the crossover read-out, its relative error on random pulse lists grows
     with length: 1e-13 at 20 pulses, 2e-10 at 24, 1e-7 at 32, 7e-3 at 64.
     """
-    w00, _, _, w11 = residual_columns(seq, SIMULTANEOUS, CONTOUR_EPS[:, None], CONTOUR_EPS[None, :],
-                                      _target_matrix(target))
-    a0 = (w00 + w11) / 2.0
-    c22 = taylor_coefficients(taylor_coefficients(a0)[:, 2])[2]
-    return float(-np.sign(a0.mean().real) * c22.real)
+    w00, _ = residual_columns(seq, SIMULTANEOUS, CONTOUR_EPS[:, None], CONTOUR_EPS[None, :],
+                              _target_matrix(target))
+    c22 = taylor_coefficients(taylor_coefficients(w00)[:, 2])[2]
+    return float(-np.sign(w00.mean().real) * c22.real)
 
 
 def fidelity_surface(seq, eps_grid=None, f_grid=None) -> SurfaceFit:

@@ -22,6 +22,7 @@ from compulse.cli import (
     EXIT_UNSOLVABLE,
     EXIT_UNWRITABLE,
     EXIT_USAGE,
+    MAX_POINTS,
     DocumentError,
     build_document,
     document_to_sequence,
@@ -344,6 +345,25 @@ class TestSweep:
         assert err.value.code == EXIT_USAGE
         assert "grid must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("points", [MAX_POINTS + 1, 10**13])
+    def test_oversized_grid_refused(self, points, capsys):
+        # refused while the option is parsed: no grid is allocated
+        with pytest.raises(SystemExit) as err:
+            run_main("sweep", "bb1", "--model", "ple", "--grid", f"1e-4:1e-1:{points}")
+        assert err.value.code == EXIT_USAGE
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"grid must have at most {MAX_POINTS} points" in errors[0]
+
+    @pytest.mark.parametrize("argv", [("simultaneous",), ("bb1", "--model", "sim")], ids=["design", "model"])
+    def test_oversized_square_grid_refused(self, argv, capsys):
+        # the n x n grid under both errors: n^2 points, one past the limit's square root
+        n = math.isqrt(MAX_POINTS) + 1
+        assert run_main("sweep", *argv, "--grid", f"1e-3:1e-1:{n}") == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: a sweep under both errors composes an n x n grid, so n^2 must be at most "
+                                f"{MAX_POINTS}, got n = {n}\n")
+
 
 class TestCompare:
     def test_crossover_reported(self, capsys):
@@ -368,6 +388,14 @@ class TestCompare:
             run_main("compare", "--variants", "bb1", "sk2rot", "--theta-range", spec)
         assert err.value.code == EXIT_USAGE
         assert "theta range must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", [MAX_POINTS + 1, 10**13])
+    def test_oversized_theta_range_refused(self, points, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_main("compare", "--variants", "bb1", "sk2rot", "--theta-range", f"10:180:{points}")
+        assert err.value.code == EXIT_USAGE
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"theta range must have at most {MAX_POINTS} points" in errors[0]
 
     def test_720_degree_identity_flagged(self, capsys):
         # sk2 at 720 degrees is an exact identity: no crossover, and no error
@@ -473,20 +501,24 @@ class TestAcrossKernels:
     baseline (everything from ``X86_V3`` up disabled) the rows are compared
     within 16 n eps_mach in sqrt(infidelity), n the pulse count, twice the
     bound of ``TestMpmathReferee`` (measured at the baseline: 0.02 n
-    eps_mach; at AVX2 no row moves on an AVX-512 host).  ``--json`` floats are
-    not compared: ``loglog_slope`` comes from ``np.polyfit``, which goes
-    through LAPACK and moves by 2 ulp under Haswell.  A setting whose CPU
-    features the host lacks is skipped.  On a numpy or OpenBLAS build
+    eps_mach; at AVX2 no row moves on an AVX-512 host).  ``loglog_slope``
+    is fitted without LAPACK (``verify._line_fit``), so under either
+    OpenBLAS kernel the whole ``verify sk3 --json`` output must equal the
+    default run's byte for byte; under numpy's SIMD settings its floats move
+    with the infidelities they are fitted to, and only its orders and
+    verdict are compared.  A setting whose CPU features the host lacks is
+    skipped.  On a numpy or OpenBLAS build
     without run-time dispatch the variables do nothing, and the test then
     compares a build with itself.
     """
 
     SWEEP = ("sweep", "bb1", "--model", "ple", "--grid", "1e-4:1e-1:25")
+    JSON = ("verify", "sk3", "--order", "4", "--json")
 
     COMMANDS = (
         ("synth", "bb1"),
         ("verify", "bb1", "--order", "3"),
-        ("verify", "sk3", "--order", "4", "--json"),
+        JSON,
         ("compare", "--variants", "bb1", "sk2rot", "--theta-range", "10:180:86"),
         SWEEP,
     )
@@ -519,14 +551,15 @@ class TestAcrossKernels:
             proc = subprocess.run([sys.executable, "-m", "compulse.cli", *argv], env=env,
                                   capture_output=True, text=True)
             refused = proc.returncode != EXIT_OK
-            out.append((argv, proc.returncode, proc.stderr if refused else _certified(argv, proc.stdout)))
+            out.append((argv, proc.returncode, proc.stderr if refused else _certified(argv, proc.stdout),
+                        proc.stdout))
         return out
 
     @pytest.fixture(scope="class")
     def default(self):
         runs = self._run({})
         expected = [EXIT_OK] * len(self.COMMANDS) + [code for _, code in self.REFUSALS]
-        assert [code for _, code, _ in runs] == expected
+        assert [run[1] for run in runs] == expected
         assert all(runs[i][2].startswith("error: ") for i in range(len(self.COMMANDS), len(runs)))
         return runs
 
@@ -544,4 +577,7 @@ class TestAcrossKernels:
             bound = 16 * len(build("bb1", PI).pulses) * sys.float_info.epsilon
             assert max(abs(math.sqrt(y) - math.sqrt(w)) for (_, y), (_, w) in zip(got, want)) <= bound
             runs[at] = default[at]
-        assert runs == default
+        else:
+            at = self.COMMANDS.index(self.JSON)
+            assert runs[at][3] == default[at][3]
+        assert [run[:3] for run in runs] == [run[:3] for run in default]

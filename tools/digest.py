@@ -28,8 +28,8 @@ of every float, and the message of every refused input, in a fixed order, so
 equal digests mean equal bits.  The families:
 
 - ``infidelity_grid``: every catalog entry at 180, 37 and 123 degrees under
-  ple, ore and sim, on a 1-D grid, an (E,1)x(1,F) grid and a complex
-  contour;
+  ple, ore and sim, on a 1-D grid and an (E,1)x(1,F) grid (it takes real
+  fractions only);
 - ``infidelity_point``: the same sequences and models at one scalar point,
   which composes on Python complex numbers rather than arrays, so that a
   change which moves only scalar-point bits shows that grids and contours
@@ -43,8 +43,9 @@ equal digests mean equal bits.  The families:
 - ``grid_repeats``: the same repeated calls, but of the 1-D grid, in a
   family of its own for the reason ``infidelity_point`` has one;
 - ``su2``: ``pulse_matrix``, ``propagator``, ``compose`` and
-  ``residual_columns``, its four entries stacked along a last axis, of the
-  same sequences;
+  ``residual_columns``, its two entries (W's first column) stacked along a
+  last axis, of the same sequences, at the scalar point, on both real grids
+  and on a complex contour;
 - ``contour_sigma_norms``: 32 and 64 nodes, the same sequences;
 - ``crossover_scan``: the README range, 45 seeded random angle grids, and
   40 seeded grids that bracket the bb1/sk2rot crossover: 20 of 24 points
@@ -71,10 +72,11 @@ equal digests mean equal bits.  The families:
 - ``cli_refusals``: exit code, stdout and stderr of every refusal the CLI
   documents: unknown names, refused angles, unusable documents, a model
   without an axis, series overflow, a negative-angle pulse off resonance,
-  unwritable outputs, too few or uncorrected ``compare`` variants, and
-  argparse's refusals of malformed options.  It also runs the malformed
-  documents that still exit 1 with a traceback; their stderr is cut to the
-  traceback's last line, because the line numbers in it move with any edit.
+  unwritable outputs, too few or uncorrected ``compare`` variants, point
+  counts beyond ``cli.MAX_POINTS``, and argparse's refusals of malformed
+  options.  It also runs the malformed documents that still exit 1 with a
+  traceback; their stderr is cut to the traceback's last line, because the
+  line numbers in it move with any edit.
 """
 
 from __future__ import annotations
@@ -161,7 +163,9 @@ REFUSED_COMMANDS = (
     *(("verify", "bb1", "--order", "3", "--degree", degree) for degree in ("0", "17", "2.5")),
     *(("sweep", "bb1", f"--grid={grid}") for grid in ("1:2", "nan:1e-1:5", "0:1:3", "-1:1:3", "2:1:3", "1:2:0")),
     *(("compare", "--variants", "bb1", "sk2rot", "--theta-range", spec)
-      for spec in ("10:180:-3", "10:180:0", "10:inf:5", "10:180")),
+      for spec in ("10:180:-3", "10:180:0", "10:inf:5", "10:180", "10:180:10000000000000")),
+    ("sweep", "bb1", "--model", "ple", "--grid", "1e-4:1e-1:10000000000000"),
+    ("sweep", "simultaneous", "--grid", "1e-3:1e-1:101"),
 )
 
 
@@ -245,7 +249,8 @@ def grid_families() -> list[Digest]:
         for kind in KINDS:
             for name, grid in GRIDS.items():
                 eps, f = grid(kind)
-                (point if name == "scalar" else infid).call(infidelity_grid, seq, kind, eps, f, seq.target)
+                if name != "contour":  # infidelity_grid takes real fractions
+                    (point if name == "scalar" else infid).call(infidelity_grid, seq, kind, eps, f, seq.target)
                 mats.call(_residual_entries, seq.pulses, kind, eps, f, u)
             mats.call(su2.pulse_matrix, seq.pulses[0], kind, 0.013, 0.007)
             model = {"ple": ErrorModel.pulse_length(0.013), "ore": ErrorModel.off_resonance(0.007),

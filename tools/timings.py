@@ -22,6 +22,11 @@ rows, as markdown table rows:
 - ``fidelity_surface`` of simultaneous (derived degrees, default grids);
 - ``crossover_scan`` of bb1 against sk2rot on the README range, 86 angles
   from 10 to 180 degrees;
+- the contour read-outs: ``contour_sigma_norms`` of sk2rot at 160 degrees
+  (one bisection step's composition), ``verify._degree3_magnitudes`` of
+  sk2rot over 24 angles from 140 to 180 degrees (one batched variant of an
+  angle-scan round) and ``verify._cross_coefficient`` of simultaneous (the
+  eps^2 f^2 read-out on the 32x32 torus);
 - fresh processes, each the median and the best of five wall times from
   spawn to exit: ``python -c pass``, ``import numpy`` and
   ``import compulse.cli``; the CLI commands ``synth bb1``,
@@ -50,13 +55,15 @@ import numpy as np
 from digest import SRC, configuration_line  # the sibling tool; it puts src/ on the path
 
 from compulse import build, crossover_scan, estimate_order, fidelity_surface, residual, sequence_series
-from compulse.verify import infidelity_grid
+from compulse.su2 import contour_sigma_norms, rotation
+from compulse.verify import _cross_coefficient, _degree3_magnitudes, infidelity_grid
 
 NAMES = ("bb1", "sk3", "or-second-xz", "simultaneous")
 DEGREE = 8
 POINT = (0.013, 0.007)
 GRID = np.geomspace(1e-4, 1e-1, 300)
 README_THETAS = np.radians(np.linspace(10.0, 180.0, 86))
+SCAN_THETAS = np.radians(np.linspace(140.0, 180.0, 24))
 #: (row label, the fresh process's arguments after ``python``)
 PROCESSES = (
     ("`python -c pass`", ("-c", "pass")),
@@ -113,6 +120,13 @@ def rows() -> list[str]:
         _row(f"`crossover_scan` bb1,sk2rot × {README_THETAS.size} (README range)",
              [best(lambda: crossover_scan(("bb1", "sk2rot"), README_THETAS))], "ms"),
     ]
+    sk2rot = build("sk2rot", math.radians(160.0))
+    u = rotation(sk2rot.target.angle, sk2rot.target.phase)
+    out.append(_row(f"contour read-outs: `contour_sigma_norms` sk2rot at 160° / `_degree3_magnitudes` sk2rot × "
+                    f"{SCAN_THETAS.size} (140-180°) / `_cross_coefficient` simultaneous",
+                    [best(lambda: contour_sigma_norms(sk2rot.pulses, u)),
+                     best(lambda: _degree3_magnitudes("sk2rot", SCAN_THETAS)),
+                     best(lambda: _cross_coefficient(simultaneous, simultaneous.target))], "ms"))
     return out
 
 
