@@ -16,10 +16,11 @@ The residual W = V U^dag of a sequence is analytic in the error fractions,
 so Cauchy sums at complex fractions read its Taylor coefficients:
 :func:`contour_sigma_norms` those of its sigma part in eps on a circle, for
 the phase solver in ``sequences`` and the crossover scan in ``verify``, and
-``verify`` the eps^2 f^2 fidelity term on a torus in (eps, f), neither with
-the series engine.  Every composition, real fractions, complex ones and
-:func:`compose` alike, goes through one kernel, :func:`_columns`: W's first
-column takes one matrix-vector step per pulse, written out on the entries
+``verify`` every leading infidelity coefficient, on a circle in one error
+fraction or a torus in (eps, f), neither with the series engine.  Every
+composition, real fractions, complex ones and :func:`compose` alike, goes
+through one kernel, :func:`_columns`: W's first column takes one
+matrix-vector step per pulse, written out on the entries
 of the pulse matrices.  The second column is read off the first: by SU(2)
 symmetry at real fractions (w11 = conj(w00), w01 = -conj(w10)), and on
 contours as the conjugates of the first column's Taylor coefficients.  Only
@@ -76,10 +77,10 @@ CONTOUR_POINTS, CONTOUR_RADIUS = 32, 0.2
 
 
 @lru_cache(maxsize=None)
-def _contour(points: int) -> tuple[np.ndarray, np.ndarray]:
-    """The N nodes r e^(2 pi i j/N) and the (N, 4) Cauchy matrix to degrees 0..3."""
-    j = np.arange(points)
-    cauchy = np.exp(-2j * np.pi * np.outer(j, np.arange(4)) / points) / (points * CONTOUR_RADIUS ** np.arange(4))
+def _contour(points: int, degree: int = 3) -> tuple[np.ndarray, np.ndarray]:
+    """The N nodes r e^(2 pi i j/N) and the (N, degree + 1) Cauchy matrix to degrees 0..degree."""
+    j, k = np.arange(points), np.arange(degree + 1)
+    cauchy = np.exp(-2j * np.pi * np.outer(j, k) / points) / (points * CONTOUR_RADIUS ** k)
     return CONTOUR_RADIUS * np.exp(2j * np.pi * j / points), cauchy
 
 
@@ -318,17 +319,17 @@ def compose(pulses, model: ErrorModel) -> np.ndarray:
     return np.stack((w00, w01, w10, w11), axis=-1).reshape(np.shape(w00) + (2, 2))
 
 
-def taylor_coefficients(values: np.ndarray) -> np.ndarray:
-    """Taylor coefficients of degree 0..3 of a function analytic in eps.
+def taylor_coefficients(values: np.ndarray, degree: int = 3) -> np.ndarray:
+    """Taylor coefficients of degree 0..``degree`` (below N) of a function analytic in eps.
 
     ``values`` holds the function at the N nodes of the contour along its
     last axis (``CONTOUR_EPS`` for the default N); the result replaces that
-    axis by the four coefficients.  Each is the discrete Cauchy integral
-    A_k = sum_j a_j e^(-2 pi i j k / N) / (N r^k).  Its aliasing error is
-    A_(k+N) r^N + A_(k+2N) r^(2N) + ..., and its rounding error is about
-    eps_mach max|a| / r^k.
+    axis by the coefficients.  Each is the discrete Cauchy integral A_k =
+    sum_j a_j e^(-2 pi i j k / N) / (N r^k).  Its aliasing error is
+    A_(k+N) r^N + A_(k+2N) r^(2N) + ..., so degree N would read A_0 / r^N,
+    and its rounding error is about eps_mach max|a| / r^k.
     """
-    return values @ _contour(values.shape[-1])[1]
+    return values @ _contour(values.shape[-1], degree)[1]
 
 
 def residual_columns(pulses, kind: str, eps, f, u: np.ndarray) -> tuple:

@@ -1,29 +1,27 @@
 """Independent numeric checks of the series engine's order and coefficient claims.
 
 Nothing here touches the power-series code path: sequences are composed in
-plain float64 over whole error grids, W's first column only, through
-:func:`compulse.su2.residual_columns`, infidelities are swept over geometric
-grids, and error orders and leading coefficients are recovered from log-log
-slopes and small-x extrapolation.  Every sweep along
-one error axis goes through :func:`axis_sweep`, which maps the axis to its
-error model (the inverse of ``pulse.KIND_AXIS``), takes the sequence's own
-target or the identity for a bare pulse list, and checks and sorts the grid.
-The infidelity is taken from the Pauli (sigma) part of the residual unitary
+plain float64, W's first column only, through
+:func:`compulse.su2.residual_columns`.  Error orders are read off log-log
+slopes of infidelity sweeps over geometric grids, and every sweep along one
+error axis goes through :func:`axis_sweep`, which maps the axis to its error
+model (the inverse of ``pulse.KIND_AXIS``), takes the sequence's own target
+or the identity for a bare pulse list, and checks and sorts the grid.  The
+infidelity is taken from the Pauli (sigma) part of the residual unitary
 rather than from 1 - |Tr/2|, so it carries no cancellation floor and needs
-no extended precision: infidelities do not depend on the platform's
-``longdouble``, and their composition makes no BLAS call.  Taylor
-coefficients of the same residual, read on contours of complex fractions,
-give the degree-3 magnitudes of :func:`crossover_scan`
-(:func:`compulse.su2.contour_sigma_norms`) and the eps^2 f^2 coefficient of
-:func:`fidelity_surface`.  W's second column is read off the first: by its
-SU(2) form at real fractions, and on contours as the conjugates of the
-first column's Taylor coefficients.  The whole angle grid of one variant of
-a scan is a single batched composition.  The bisection for the crossover
-then composes one angle per step, but only for the steps whose side is not
-yet decided: a capped regula falsi pre-pass brackets the root between
-angles whose difference lies beyond the read-out's rounding floor, and a
-midpoint outside that bracket takes the side its position implies.
-Agreement between the two routes is what certifies a sequence.
+no extended precision or BLAS call.  Taylor coefficients of the same
+residual, read by Cauchy sums on contours of complex fractions, give every
+leading infidelity coefficient (:func:`_infidelity_coefficients`) and the
+degree-3 magnitudes of :func:`crossover_scan`
+(:func:`compulse.su2.contour_sigma_norms`).  W's second column is read off
+the first: by its SU(2) form at real fractions, and on contours as the
+conjugates of the first column's Taylor coefficients.  The whole angle grid
+of one variant of a scan is a single batched composition.  The bisection
+for the crossover then composes one angle per step, but only for the steps
+whose side is not yet decided: a capped regula falsi pre-pass brackets the
+root between angles whose difference lies beyond the read-out's rounding
+floor, and a midpoint outside that bracket takes the side its position
+implies.  Agreement between the two routes is what certifies a sequence.
 """
 
 from __future__ import annotations
@@ -35,8 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .sequences import build
-from .su2 import (CONTOUR_EPS, CONTOUR_RADIUS, KIND_AXIS, SIMULTANEOUS, Pulse, contour_sigma_norms,
-                  residual_columns, rotation, taylor_coefficients)
+from .su2 import (CONTOUR_EPS, CONTOUR_POINTS, CONTOUR_RADIUS, KIND_AXIS, SIMULTANEOUS, Pulse,
+                  contour_sigma_norms, residual_columns, rotation, taylor_coefficients)
 
 #: sweep defaults: geometric grid and the infidelity window used for fitting
 GRID_MIN, GRID_MAX, GRID_POINTS = 1e-4, 1e-1, 25
@@ -136,13 +134,19 @@ def axis_sweep(seq, axis: str, grid=None) -> tuple[np.ndarray, np.ndarray]:
 
     ``grid`` defaults to :func:`geometric_grid`.  It must be 1-D, non-empty,
     finite and nonnegative, and it comes back sorted ascending, which the
-    fits rely on.
+    slope fit relies on.
     """
-    if axis not in _AXIS_KIND:
-        raise ValueError(f"unknown sweep axis {axis!r}; expected 'eps' or 'f'")
+    kind = _axis_kind(axis)
     grid = geometric_grid() if grid is None else np.sort(_checked_grid(grid, "sweep grid", nonnegative=True))
     eps, f = (grid, 0.0) if axis == "eps" else (0.0, grid)
-    return grid, infidelity_grid(seq, _AXIS_KIND[axis], eps, f, _target(seq))
+    return grid, infidelity_grid(seq, kind, eps, f, _target(seq))
+
+
+def _axis_kind(axis: str) -> str:
+    """The error model kind of the error axis ``axis``; an unknown axis is refused."""
+    if axis not in _AXIS_KIND:
+        raise ValueError(f"unknown sweep axis {axis!r}; expected 'eps' or 'f'")
+    return _AXIS_KIND[axis]
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,36 +225,54 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return slope, y_mean - slope * x_mean
 
 
-def _leading_coefficient(grid: np.ndarray, infid: np.ndarray, degree: int) -> float:
-    """c in infidelity = c x^degree + ..., read off the small-x end of a sweep
-    (``grid`` ascending, ``infid`` its infidelities).
-
-    The reduced values y/x^degree are extrapolated to x = 0 with a least
-    squares fit in (1, x, x^2), which absorbs one odd and one even
-    correction term.  Points are used only where the infidelity is large
-    enough to be clean and small enough that degree+3 terms stay negligible.
-    """
-    floor = FIT_WINDOW[0]
-    keep = (infid >= floor) & (infid <= 1e-7)
-    if keep.sum() < 3:
-        keep = (infid >= floor) & (infid <= 1e-6)
-    if keep.sum() < 3:
-        raise ValueError("noise floor reached: too few clean sweep points for a coefficient fit")
-    x = grid[keep]
-    basis = np.vstack([np.ones_like(x), x, x * x]).T
-    coeffs, *_ = np.linalg.lstsq(basis, infid[keep] / x**degree, rcond=None)
-    return float(coeffs[0])
-
-
 def fit_leading_coefficient(seq, axis: str, degree: int) -> float:
-    """Fit c in infidelity = c x^degree + ... from the small-x end of a sweep
-    along ``axis`` on the default grid.
+    """c in infidelity = c x^degree + ... along ``axis``, read off a contour.
 
-    ``degree`` must be the axis's 2 * order (see :func:`estimate_order`):
-    with any other value the reduced values y/x^degree do not tend to a
-    constant, and the extrapolation returns a meaningless number.
+    ``degree``, the axis's 2 * order (see :func:`estimate_order`), must be
+    an int in 1..``CONTOUR_POINTS`` - 1, where aliasing starts; it is
+    checked before W is composed, once, under the axis's model on the circle
+    ``CONTOUR_EPS`` (:func:`_infidelity_coefficients`).  A c within the floor
+    ((pulses + pi degree) eps_mach max|W| + |c_0|) / r^degree is refused:
+    a rounding per matrix-vector step, the Cauchy matrix's rounded phases 2
+    pi j k / N (pi k eps_mach over the nodes), and the read degree-0
+    infidelity c_0, zero at the target but for the aliasing A_N r^N.  Exact
+    identities (x1 then x1inv, sk2 at 720 degrees, z2 then z2prime, 8-32
+    random pulses then their inverse) read 8.9-17x under it at degrees
+    1..31, below-order degrees 1.5x or more (or-second-xz, f, degree 1), and
+    catalog coefficients at 180, 37, 123 and 720 degrees 9e7x or more above.
     """
-    return _leading_coefficient(*axis_sweep(seq, axis), degree)
+    kind = _axis_kind(axis)
+    if not isinstance(degree, int) or not 1 <= degree < CONTOUR_POINTS:
+        raise ValueError(f"degree must be an int in 1..{CONTOUR_POINTS - 1}, got {degree!r}")
+    eps, f = (CONTOUR_EPS, 0.0) if axis == "eps" else (0.0, CONTOUR_EPS)
+    coeffs, w_max = _infidelity_coefficients(seq, kind, eps, f, degree)
+    rounding = (len(seq) + math.pi * degree) * float(np.finfo(float).eps) * w_max
+    floor = (rounding + abs(1.0 + coeffs[0])) / CONTOUR_RADIUS**degree
+    if not abs(coeffs[degree]) > floor:
+        raise ValueError(f"noise floor reached: the degree-{degree} coefficient reads {coeffs[degree]:.3g}, "
+                         f"within the contour read-out's floor {floor:.3g}")
+    return float(coeffs[degree])
+
+
+def _infidelity_coefficients(seq, kind: str, eps, f, degree: int) -> tuple[np.ndarray, float]:
+    """Taylor coefficients c to ``degree`` of the infidelity of ``seq``
+    under ``kind``, and max|W| on the contour.
+
+    ``eps`` and ``f`` are each 0.0 or ``CONTOUR_EPS`` along a grid axis: a
+    circle gives c[k] of x^k, the torus ``CONTOUR_EPS[:, None]`` x
+    ``CONTOUR_EPS[None, :]`` c[i, j] of eps^i f^j.  At real fractions the
+    infidelity is 1 - s a0, a0 = (w00 + w11) / 2 with s its sign at zero
+    error, and w11(eps, f) = conj(w00(conj(eps), conj(f))): a0's
+    coefficients are the real parts of w00's, one Cauchy sum per contour
+    axis, s is the sign of Re(w00)'s mean, and c is -s times them (c[0] + 1
+    the degree-0 term).  The eps^2 f^2 term of random pulse lists is 1e-13
+    off at 20 pulses, 7e-3 at 64 (``CONTOUR_RADIUS`` is fixed).
+    """
+    w00, w10 = residual_columns(seq, kind, eps, f, _target_matrix(_target(seq)))
+    coeffs = w00
+    for _ in range(w00.ndim):
+        coeffs = np.moveaxis(taylor_coefficients(coeffs, degree), -1, 0)
+    return -np.sign(w00.mean().real) * coeffs.real, float(max(np.abs(w00).max(), np.abs(w10).max()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -449,11 +471,9 @@ def inverse_quality(seq, seq_inv, model_kind: str) -> SweepResult:
 class SurfaceFit:
     """Two-dimensional infidelity table with the leading coefficients.
 
-    ``eps_degree`` and ``f_degree`` are 2 * the order that
-    :func:`estimate_order` reads off the sweep along each axis, and
-    ``coeff_eps`` and ``coeff_f`` are the coefficients of eps^eps_degree and
-    f^f_degree fitted on that same sweep.  ``coeff_cross``, that of eps^2
-    f^2, is read off a contour, not fitted, and is never refused.
+    ``eps_degree`` and ``f_degree`` are 2 * the order :func:`estimate_order`
+    reads along each axis.  ``coeff_eps``, ``coeff_f`` and ``coeff_cross``, of
+    eps^eps_degree, f^f_degree and eps^2 f^2, are read off one torus.
     """
 
     eps_grid: np.ndarray
@@ -466,56 +486,34 @@ class SurfaceFit:
     coeff_cross: float  # coefficient of eps^2 f^2
 
 
-def _axis_coefficient(seq, axis: str) -> tuple[float, int]:
-    """Leading infidelity coefficient and degree along ``axis``, both read
-    off one :func:`estimate_order` sweep on the default grid; an axis with
-    no clean order is refused."""
-    sweep = estimate_order(seq, axis)
-    if sweep.order is None:
-        reason = "beyond resolution" if sweep.beyond_resolution else "ambiguous"
-        raise ValueError(f"no clean error order along {axis} ({reason}): no leading coefficient to fit")
-    degree = 2 * sweep.order
-    return _leading_coefficient(sweep.values, sweep.infidelities, degree), degree
-
-
-def _cross_coefficient(seq, target: Pulse) -> float:
-    """The eps^2 f^2 coefficient of the infidelity of ``seq`` against ``target``.
-
-    W = V U^dag is composed under "sim" on the torus ``CONTOUR_EPS`` x
-    ``CONTOUR_EPS``, its first column only.  The half trace a0 = (w00 +
-    w11) / 2 is analytic, and at real fractions the infidelity 1 - |a0| is
-    1 - s a0, s the sign of a0 at zero error.  w11(eps, f) is
-    conj(w00(conj(eps), conj(f))), so a0's Taylor coefficients are the real
-    parts of w00's: one Cauchy sum of w00 along f and one along eps read
-    the coefficient, and s is the sign of Re(w00)'s mean over the torus.  At the fixed ``CONTOUR_RADIUS``, as for
-    the crossover read-out, its relative error on random pulse lists grows
-    with length: 1e-13 at 20 pulses, 2e-10 at 24, 1e-7 at 32, 7e-3 at 64.
-    """
-    w00, _ = residual_columns(seq, SIMULTANEOUS, CONTOUR_EPS[:, None], CONTOUR_EPS[None, :],
-                              _target_matrix(target))
-    c22 = taylor_coefficients(taylor_coefficients(w00)[:, 2])[2]
-    return float(-np.sign(w00.mean().real) * c22.real)
+def _torus_coefficients(seq, eps_degree: int, f_degree: int) -> tuple[float, float, float]:
+    """The infidelity's eps^eps_degree, f^f_degree and eps^2 f^2 coefficients, read off
+    one "sim" torus (:func:`_infidelity_coefficients`); "sim" is "ple" at f = 0, "ore" at eps = 0."""
+    coeffs, _ = _infidelity_coefficients(seq, SIMULTANEOUS, CONTOUR_EPS[:, None], CONTOUR_EPS[None, :],
+                                         max(eps_degree, f_degree, 2))
+    return float(coeffs[eps_degree, 0]), float(coeffs[0, f_degree]), float(coeffs[2, 2])
 
 
 def fidelity_surface(seq, eps_grid=None, f_grid=None) -> SurfaceFit:
-    """Infidelity over a 2-D error grid plus leading-coefficient fits.
+    """Infidelity over a 2-D error grid plus its leading coefficients.
 
     ``eps_grid`` and ``f_grid`` set only the returned table; they must be
     1-D, non-empty and finite, and unlike a 1-D sweep they may hold signed
-    fractions.  Each axis is swept once by :func:`estimate_order` on the
-    default 25-point grid (``GRID_MIN`` to ``GRID_MAX``), whatever the
-    table's grids are; the fit degree is 2 * the order that sweep reads, and
-    the coefficient is extrapolated from the same sweep's small-x end.  An
-    axis with no clean order raises ValueError.  The eps^2 f^2 coefficient
-    is read, not fitted (:func:`_cross_coefficient`), and never refused.
+    fractions.  Each axis's degree is 2 * the order that one
+    :func:`estimate_order` sweep on the default grid reads, whatever the
+    table's grids are; an axis with no clean order raises ValueError.  The
+    coefficients are read off one torus (:func:`_torus_coefficients`).
     """
-    target = _target(seq)
     eps_grid = geometric_grid(3e-3, 3e-2, 7) if eps_grid is None else _checked_grid(eps_grid, "eps grid")
     f_grid = geometric_grid(3e-3, 3e-2, 7) if f_grid is None else _checked_grid(f_grid, "f grid")
+    surface = infidelity_grid(seq, SIMULTANEOUS, eps_grid[:, None], f_grid[None, :], _target(seq))
 
-    surface = infidelity_grid(seq, SIMULTANEOUS, eps_grid[:, None], f_grid[None, :], target)
-
-    coeff_eps, eps_degree = _axis_coefficient(seq, "eps")
-    coeff_f, f_degree = _axis_coefficient(seq, "f")
-    return SurfaceFit(eps_grid, f_grid, surface, coeff_eps, eps_degree, coeff_f, f_degree,
-                      _cross_coefficient(seq, target))
+    degrees = []
+    for axis in ("eps", "f"):
+        sweep = estimate_order(seq, axis)
+        if sweep.order is None:
+            reason = "beyond resolution" if sweep.beyond_resolution else "ambiguous"
+            raise ValueError(f"no clean error order along {axis} ({reason}): no leading coefficient to fit")
+        degrees.append(2 * sweep.order)
+    coeff_eps, coeff_f, coeff_cross = _torus_coefficients(seq, *degrees)
+    return SurfaceFit(eps_grid, f_grid, surface, coeff_eps, degrees[0], coeff_f, degrees[1], coeff_cross)

@@ -91,13 +91,31 @@ class TestEstimateOrder:
         with pytest.raises(ValueError, match=match):
             estimate_order(build("bb1", PI), "eps", grid=grid)
 
-    @pytest.mark.parametrize("axis", ["x", "epsilon", "ple"])
-    def test_unknown_axis_rejected(self, axis):
+    @pytest.mark.parametrize(
+        "axis,degree",
+        [
+            pytest.param("x", 6, id="x"),
+            pytest.param("epsilon", 6, id="epsilon"),
+            pytest.param("ple", 6, id="ple"),
+            # a degree the contour cannot read: below 1, not an int, or aliased (from CONTOUR_POINTS on)
+            *(pytest.param("eps", degree, id=f"degree={degree}") for degree in (0, -2, 1.5, 6.0, 32, 40)),
+        ],
+    )
+    def test_unknown_axis_rejected(self, axis, degree, monkeypatch):
         seq = build("bb1", PI)
-        with pytest.raises(ValueError, match=f"unknown sweep axis '{axis}'"):
-            estimate_order(seq, axis)
-        with pytest.raises(ValueError, match=f"unknown sweep axis '{axis}'"):
-            fit_leading_coefficient(seq, axis, 6)
+        if axis in ("eps", "f"):
+            match = "degree must be an int in 1..31"
+        else:
+            match = f"unknown sweep axis '{axis}'"
+            with pytest.raises(ValueError, match=match):
+                estimate_order(seq, axis)
+
+        def refuse_to_compose(*args):
+            raise AssertionError("composed before the arguments were checked")
+
+        monkeypatch.setattr(compulse.verify, "residual_columns", refuse_to_compose)
+        with pytest.raises(ValueError, match=match):
+            fit_leading_coefficient(seq, axis, degree)
 
 
 CATALOG_AXES = [
@@ -128,7 +146,7 @@ class TestSeriesNumericAgreement:
         kind = "ple" if axis == "eps" else "ore"
         rep = leading_error(residual(seq.pulses, seq.target, kind, 8))
         fitted = fit_leading_coefficient(seq, axis, rep.infidelity_degree)
-        assert fitted == pytest.approx(rep.infidelity_coefficient, rel=5e-3)
+        assert fitted == pytest.approx(rep.infidelity_coefficient, rel=1e-9)
 
 
 class TestFitLeadingCoefficient:
@@ -145,12 +163,22 @@ class TestFitLeadingCoefficient:
         assert c == pytest.approx((60 + PI**2) / 32, rel=5e-3)
 
     def test_noise_floor_flagged(self):
-        pulses = (
+        # every coefficient of an exact identity, and a degree below the order,
+        # reads as rounding or aliasing noise
+        identity = (
             *ple_pure_error("x1", 0.7).pulses,
             *ple_pure_error("x1inv", 0.7).pulses,
         )
-        with pytest.raises(ValueError):
-            fit_leading_coefficient(pulses, "eps", 2)
+        for pulses, axis, degree in (
+            (identity, "eps", 2),
+            (identity, "eps", 31),
+            (build("sk2", 4 * PI), "eps", 6),
+            (build("bb1", PI), "eps", 4),
+            (build("sk3", PI), "eps", 2),
+            (build("or-second-xz", PI), "f", 1),
+        ):
+            with pytest.raises(ValueError, match="noise floor reached"):
+                fit_leading_coefficient(pulses, axis, degree)
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-3])
     def test_bb1_resolved_below_1e16(self, eps):
@@ -655,7 +683,7 @@ class TestFidelitySurface:
             n = leading_error(residual(seq.pulses, seq.target, "ple" if axis == "eps" else "ore", 8)).order
             assert degree == 2 * n, axis
             exponents = (degree, 0) if axis == "eps" else (0, degree)
-            assert coeff == pytest.approx(-fs.coeff(*exponents).real, rel=0.01), axis
+            assert coeff == pytest.approx(-fs.coeff(*exponents).real, rel=1e-5), axis
         c22 = -fs.coeff(2, 2).real
         assert sf.coeff_cross == pytest.approx(c22, rel=1e-9, abs=1e-9)
 
@@ -669,15 +697,25 @@ class TestFidelitySurface:
 
     @pytest.mark.parametrize("degrees", [37.0, 123.0, 720.0])
     def test_catalog_cross_coefficient_at_other_angles(self, degrees):
-        # sk1 at 37 and 123 degrees was refused by the diagonal fit
+        # sk1 at 37 and 123 degrees was refused by the diagonal fit.  The axis
+        # terms are checked at 37 and 123 degrees only: at 720, bb1, sk1, sk2
+        # and sk2rot are exact identities along eps, with no leading term
         for name in CATALOG:
             try:
                 seq = build(name, math.radians(degrees))
             except ValueError:
                 continue  # an entry defined at 180 degrees only
-            c22 = -fidelity_series(residual(seq.pulses, seq.target, "sim", 4)).coeff(2, 2).real
-            got = compulse.verify._cross_coefficient(seq, seq.target)
+            fs = fidelity_series(residual(seq.pulses, seq.target, "sim", 8))
+            eps_degree, f_degree = 2, 2
+            if degrees != 720.0:
+                eps_degree, f_degree = (2 * leading_error(residual(seq.pulses, seq.target, kind, 8)).order
+                                        for kind in ("ple", "ore"))
+            coeff_eps, coeff_f, got = compulse.verify._torus_coefficients(seq, eps_degree, f_degree)
+            c22 = -fs.coeff(2, 2).real
             assert abs(got - c22) <= 1e-9 * max(1.0, abs(c22)), name
+            if degrees != 720.0:
+                assert coeff_eps == pytest.approx(-fs.coeff(eps_degree, 0).real, rel=1e-5), name
+                assert coeff_f == pytest.approx(-fs.coeff(0, f_degree).real, rel=1e-5), name
 
     @pytest.mark.parametrize("count", range(1, 13))
     def test_cross_coefficient_of_random_pulses(self, count):
@@ -690,7 +728,7 @@ class TestFidelitySurface:
             pulses += [Pulse(p.angle, p.phase + PI) for p in reversed(pulses)]
             identity = Pulse(0.0, 0.0)
             c22 = -fidelity_series(residual(pulses, identity, "sim", 4)).coeff(2, 2).real
-            got = compulse.verify._cross_coefficient(pulses, identity)
+            got = compulse.verify._torus_coefficients(pulses, 2, 2)[2]
             assert abs(got - c22) <= 1e-9 * max(1.0, abs(c22))
 
     def test_axis_without_order_refused(self):

@@ -56,8 +56,9 @@ equal digests mean equal bits.  The families:
   of those scans, without the magnitudes, so that it stays put when a change
   moves the magnitudes by rounding but no crossover;
 - ``fits``: ``estimate_order`` on both axes, ``fit_leading_coefficient`` at
-  each found order and ``fidelity_surface`` with its derived degrees (or its
-  refusal), over the catalog;
+  each found order (a contour read-out, or its noise-floor refusal) and
+  ``fidelity_surface`` with its derived degrees and its three coefficients
+  read off one torus (or its refusal), over the catalog;
 - ``sequences``: the ``repr`` (name, target, pulses, model kind, metadata) of
   every catalog entry at ``THETAS`` and 720 degrees, of every
   ``ple_pure_error`` and ``or_pure_error`` kind at five phases, and the

@@ -19,14 +19,16 @@ rows, as markdown table rows:
   sequence's axis (simultaneous: eps on the grid, f a third of it).  Both
   pass the sequence's own pulse tuple, as a sweep does point by point;
 - ``estimate_order`` of sk3 along eps (25-point default sweep);
+- ``fit_leading_coefficient`` of bb1 along eps (degree 6) and of corpse
+  along f (degree 4), each one contour read-out;
 - ``fidelity_surface`` of simultaneous (derived degrees, default grids);
 - ``crossover_scan`` of bb1 against sk2rot on the README range, 86 angles
   from 10 to 180 degrees;
 - the contour read-outs: ``contour_sigma_norms`` of sk2rot at 160 degrees
   (one bisection step's composition), ``verify._degree3_magnitudes`` of
   sk2rot over 24 angles from 140 to 180 degrees (one batched variant of an
-  angle-scan round) and ``verify._cross_coefficient`` of simultaneous (the
-  eps^2 f^2 read-out on the 32x32 torus);
+  angle-scan round) and ``verify._torus_coefficients`` of simultaneous at
+  degrees 6 and 4 (its three surface coefficients, read on the 32x32 torus);
 - fresh processes, each the median and the best of five wall times from
   spawn to exit: ``python -c pass``, ``import numpy`` and
   ``import compulse.cli``; the CLI commands ``synth bb1``,
@@ -54,9 +56,10 @@ import numpy as np
 
 from digest import SRC, configuration_line  # the sibling tool; it puts src/ on the path
 
-from compulse import build, crossover_scan, estimate_order, fidelity_surface, residual, sequence_series
+from compulse import (build, crossover_scan, estimate_order, fidelity_surface, fit_leading_coefficient, residual,
+                      sequence_series)
 from compulse.su2 import contour_sigma_norms, rotation
-from compulse.verify import _cross_coefficient, _degree3_magnitudes, infidelity_grid
+from compulse.verify import _degree3_magnitudes, _torus_coefficients, infidelity_grid
 
 NAMES = ("bb1", "sk3", "or-second-xz", "simultaneous")
 DEGREE = 8
@@ -112,9 +115,13 @@ def rows() -> list[str]:
         times = [best(lambda s=s, ef=_fractions(s.model_kind, point):
                       infidelity_grid(s.pulses, s.model_kind, *ef, s.target)) for s in seqs]
         out.append(_row(f"`infidelity_grid` {layer}, same four", times, unit))
-    sk3, simultaneous = seqs[1], seqs[3]
+    bb1, sk3, simultaneous = seqs[0], seqs[1], seqs[3]
+    corpse = build("corpse", math.pi)
     out += [
         _row("`estimate_order` sk3 (25-point sweep)", [best(lambda: estimate_order(sk3, "eps"))], "ms"),
+        _row("`fit_leading_coefficient` bb1 eps / corpse f",
+             [best(lambda: fit_leading_coefficient(bb1, "eps", 6)),
+              best(lambda: fit_leading_coefficient(corpse, "f", 4))], "ms"),
         _row("`fidelity_surface` simultaneous (derived degrees)", [best(lambda: fidelity_surface(simultaneous))],
              "ms"),
         _row(f"`crossover_scan` bb1,sk2rot × {README_THETAS.size} (README range)",
@@ -123,10 +130,10 @@ def rows() -> list[str]:
     sk2rot = build("sk2rot", math.radians(160.0))
     u = rotation(sk2rot.target.angle, sk2rot.target.phase)
     out.append(_row(f"contour read-outs: `contour_sigma_norms` sk2rot at 160° / `_degree3_magnitudes` sk2rot × "
-                    f"{SCAN_THETAS.size} (140-180°) / `_cross_coefficient` simultaneous",
+                    f"{SCAN_THETAS.size} (140-180°) / `_torus_coefficients` simultaneous",
                     [best(lambda: contour_sigma_norms(sk2rot.pulses, u)),
                      best(lambda: _degree3_magnitudes("sk2rot", SCAN_THETAS)),
-                     best(lambda: _cross_coefficient(simultaneous, simultaneous.target))], "ms"))
+                     best(lambda: _torus_coefficients(simultaneous, 6, 4))], "ms"))
     return out
 
 
